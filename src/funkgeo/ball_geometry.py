@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import tolerances as tol
 from .convex_core import (
@@ -131,6 +130,7 @@ def sphere_directions(dim: int, k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         dirs[np.abs(dirs) < 1e-15] = 0.0  # exact axis directions
         return dirs
+    from scipy.stats import qmc  # deferred: importing scipy.stats adds ~46 MB
     sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
     dirs = np.empty((0, dim))
     while dirs.shape[0] < k:

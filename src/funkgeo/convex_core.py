@@ -11,10 +11,10 @@ that is not the whole space.  Four representations are supported:
 Every domain answers three questions through one uniform interface:
 
 - ``contains(x)``     -- signed margin, positive iff x is strictly interior,
-- ``ray_boundary(x, y)`` -- where the ray from x through y leaves the
-  domain: either a finite boundary point with its ray parameter t >= 1
-  (the exit point is x + t*(y - x)) or "at infinity" with the recession
-  direction when the ray never leaves,
+- ``ray_boundary(x, y)`` -- where the ray from interior x through y leaves
+  the domain: either a finite boundary point with its ray parameter t
+  (the exit point is x + t*(y - x), and t > 1 iff y is interior) or "at
+  infinity" with the recession direction when the ray never leaves,
 - ``support_direction(a)`` -- an outward normal direction at a boundary
   point, from which :func:`supporting_functional` builds the linear form
   h with h(a) = 1 and h < 1 on the domain (after recentering at an
@@ -26,6 +26,7 @@ function, so domains are safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -56,6 +57,16 @@ def as_point(x, dim: int | None = None, name: str = "point") -> Vector:
     if dim is not None and p.size != dim:
         raise GeometryError(f"{name} has dimension {p.size}, expected {dim}")
     return p
+
+
+def _rowdot(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    # Row by row, rounded as the scalar p @ q is (np.einsum adds in another order).
+    return np.matmul(P[:, None, :], Q[:, :, None])[:, 0, 0]
+
+
+def _row_min(S: np.ndarray) -> np.ndarray:
+    # Column by column: for few columns, ten times faster than S.min(axis=1).
+    return functools.reduce(np.minimum, S.T)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -122,7 +133,13 @@ def to_projective(hit: Hit) -> Vector:
 
 
 class ConvexDomain:
-    """Base class for proper convex domains."""
+    """Base class for proper convex domains.
+
+    Each kind implements the unchecked kernels below, scalar and row ones
+    side by side; they trust their inputs, and the public functions
+    validate each input once.  Each kind also binds ``contains`` and
+    ``ray_boundary`` in its own body, where perfbench's tracer wraps them.
+    """
 
     dim: int
 
@@ -130,11 +147,18 @@ class ConvexDomain:
 
     def contains(self, x) -> float:
         """Signed margin: > 0 strictly interior, < 0 exterior, ~ 0 boundary."""
-        raise NotImplementedError
+        return self._margin(as_point(x, self.dim))
 
     def ray_boundary(self, x, y) -> Hit:
         """Exit of the ray from interior point x through y (x != y)."""
-        raise NotImplementedError
+        x = as_point(x, self.dim, "ray origin")
+        y = as_point(y, self.dim, "ray target")
+        if self._margin(x) <= 0.0:
+            raise GeometryError("ray origin is not interior to the domain")
+        d = y - x
+        if np.linalg.norm(d) <= tol.EPS_PT:
+            raise GeometryError("ray origin and target coincide")
+        return self._hit(x, y, d)
 
     def support_direction(self, a) -> Vector:
         """Outward normal direction at a boundary point a."""
@@ -147,18 +171,6 @@ class ConvexDomain:
     def is_bounded(self) -> bool:
         raise NotImplementedError
 
-    # -- shared helpers ----------------------------------------------------
-
-    def _check_ray_inputs(self, x, y) -> tuple[Vector, Vector, Vector]:
-        x = as_point(x, self.dim, "ray origin")
-        y = as_point(y, self.dim, "ray target")
-        if self.contains(x) <= 0.0:
-            raise GeometryError("ray origin is not interior to the domain")
-        d = y - x
-        if np.linalg.norm(d) <= tol.EPS_PT:
-            raise GeometryError("ray origin and target coincide")
-        return x, y, d
-
     def interior_samples(self, k: int, rng: np.random.Generator,
                          reach: float = 1e3) -> np.ndarray:
         """k interior points, drawn by casting rays from the base point.
@@ -167,15 +179,31 @@ class ConvexDomain:
         for validation sampling, not integration.
         """
         p = self.base_point()
-        out = np.empty((k, self.dim))
-        for i in range(k):
+        U = np.empty((k, self.dim))
+        frac = np.empty(k)
+        for i in range(k):  # one direction, then one radius, per point
             u = rng.standard_normal(self.dim)
-            u /= np.linalg.norm(u)
-            hit = self.ray_boundary(p, p + u)
-            t_max = min(hit.t, reach)
-            frac = rng.random() ** (1.0 / self.dim)
-            out[i] = p + (0.999 * frac * t_max) * u
-        return out
+            U[i] = u / np.linalg.norm(u)
+            frac[i] = rng.random() ** (1.0 / self.dim)
+        t_max = np.minimum(self._exits(np.broadcast_to(p, U.shape), p + U), reach)
+        return p + (0.999 * frac * t_max)[:, None] * U
+
+    # -- unchecked kernels -------------------------------------------------
+
+    def _margin(self, x) -> float:
+        raise NotImplementedError
+
+    def _hit(self, x, y, d) -> Hit:
+        raise NotImplementedError
+
+    def _margins(self, X) -> np.ndarray:
+        raise NotImplementedError
+
+    def _exits(self, X, Y) -> np.ndarray:
+        """Exit parameter per row pair: ``inf`` if the ray never leaves or the
+        rows coincide, ``nan`` if the origin is not interior, else t > 1 iff
+        the target is interior."""
+        raise NotImplementedError
 
 
 class HPolytope(ConvexDomain):
@@ -239,12 +267,15 @@ class HPolytope(ConvexDomain):
 
     # -- ConvexDomain ------------------------------------------------------
 
-    def contains(self, x) -> float:
-        x = as_point(x, self.dim)
+    contains, ray_boundary = ConvexDomain.contains, ConvexDomain.ray_boundary
+
+    def _margin(self, x) -> float:
         return float(np.min(self.b - self.A @ x))
 
-    def ray_boundary(self, x, y) -> Hit:
-        x, y, d = self._check_ray_inputs(x, y)
+    def _margins(self, X) -> np.ndarray:
+        return _row_min(self.b - X @ self.A.T)
+
+    def _hit(self, x, y, d) -> Hit:
         deriv = self.A @ d
         # Normalized derivative decides parallel-vs-hit; avoids huge finite t.
         scaled = deriv / (self._row_norms * np.linalg.norm(d))
@@ -254,6 +285,16 @@ class HPolytope(ConvexDomain):
         slack = self.b - self.A @ x
         t = np.min(slack[candidates] / deriv[candidates])
         return Hit.finite(x + t * d, t)
+
+    def _exits(self, X, Y) -> np.ndarray:
+        slack = self.b - X @ self.A.T  # (m, k)
+        D = Y - X
+        deriv = D @ self.A.T
+        lengths = np.maximum(np.linalg.norm(D, axis=1), tol.EPS_PT)
+        hits = deriv / (self._row_norms * lengths[:, None]) > tol.EPS_DIR
+        t = _row_min(np.where(hits, slack / np.where(hits, deriv, 1.0), np.inf))
+        t = np.where(_row_min(self.b - Y @ self.A.T) > 0.0, t, np.minimum(t, 1.0))
+        return np.where(_row_min(slack) > 0.0, t, np.nan)
 
     def support_direction(self, a) -> Vector:
         a = as_point(a, self.dim)
@@ -366,12 +407,16 @@ class EuclideanBall(ConvexDomain):
         self.radius = radius
         self.dim = self.center.size
 
-    def contains(self, x) -> float:
-        x = as_point(x, self.dim)
+    contains, ray_boundary = ConvexDomain.contains, ConvexDomain.ray_boundary
+
+    def _margin(self, x) -> float:
         return self.radius - float(np.linalg.norm(x - self.center))
 
-    def ray_boundary(self, x, y) -> Hit:
-        x, y, d = self._check_ray_inputs(x, y)
+    def _margins(self, X) -> np.ndarray:
+        W = X - self.center
+        return self.radius - np.sqrt(_rowdot(W, W))
+
+    def _hit(self, x, y, d) -> Hit:
         w = x - self.center
         alpha = float(d @ d)
         beta = float(d @ w)
@@ -381,6 +426,19 @@ class EuclideanBall(ConvexDomain):
         # Stable positive quadratic root (avoid cancellation when beta > 0).
         t = (-gamma) / (beta + root) if beta > 0.0 else (root - beta) / alpha
         return Hit.finite(x + t * d, t)
+
+    def _exits(self, X, Y) -> np.ndarray:
+        W = X - self.center
+        D = Y - X
+        alpha, beta, ww = _rowdot(D, D), _rowdot(D, W), _rowdot(W, W)
+        gamma = ww - self.radius ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(beta * beta - alpha * gamma)
+            t = np.where(beta > 0.0, -gamma / (beta + root), (root - beta) / alpha)
+        t = np.where(alpha > 0.0, t, np.inf)
+        # Interior tests in the form of _margin, so both paths agree at the sphere.
+        t = np.where(self._margins(Y) > 0.0, t, np.minimum(t, 1.0))
+        return np.where(self.radius - np.sqrt(ww) > 0.0, t, np.nan)
 
     def support_direction(self, a) -> Vector:
         a = as_point(a, self.dim)
@@ -419,7 +477,9 @@ class AffineMap:
         return np.asarray(x, dtype=float) @ self.matrix.T + self.translation
 
     def invert(self, y) -> Vector:
-        return (np.asarray(y, dtype=float) - self.translation) @ self.inverse_matrix.T
+        # Row by row, rounded as for a single point (a product of all rows is not).
+        v = np.asarray(y, dtype=float) - self.translation
+        return np.matmul(v[..., None, :], self.inverse_matrix.T)[..., 0, :]
 
     def push_direction(self, d) -> Vector:
         return self.matrix @ np.asarray(d, dtype=float)
@@ -451,17 +511,24 @@ class AffineImage(ConvexDomain):
         self.map = amap
         self.dim = inner.dim
 
-    def contains(self, x) -> float:
-        x = as_point(x, self.dim)
-        return self.map.sigma_min * self.inner.contains(self.map.invert(x))
+    contains, ray_boundary = ConvexDomain.contains, ConvexDomain.ray_boundary
 
-    def ray_boundary(self, x, y) -> Hit:
-        x, y, d = self._check_ray_inputs(x, y)
-        hit = self.inner.ray_boundary(self.map.invert(x), self.map.invert(y))
+    def _margin(self, x) -> float:
+        return self.map.sigma_min * self.inner._margin(self.map.invert(x))
+
+    def _margins(self, X) -> np.ndarray:
+        return self.map.sigma_min * self.inner._margins(self.map.invert(X))
+
+    def _hit(self, x, y, d) -> Hit:
+        x, y = self.map.invert(x), self.map.invert(y)
+        hit = self.inner._hit(x, y, y - x)
         if hit.at_infinity:
             return Hit.escaped(self.map.push_direction(hit.direction))
         # The ray parameter is an affine ratio, hence shared by both charts.
         return Hit.finite(self.map(hit.point), hit.t)
+
+    def _exits(self, X, Y) -> np.ndarray:
+        return self.inner._exits(self.map.invert(X), self.map.invert(Y))
 
     def support_direction(self, a) -> Vector:
         a = as_point(a, self.dim)
@@ -494,20 +561,26 @@ class IntersectionDomain(ConvexDomain):
                 raise DomainSpecError("witness is not interior to every part")
             self._base = _readonly(w)
 
-    def contains(self, x) -> float:
-        x = as_point(x, self.dim)
-        return min(p.contains(x) for p in self.parts)
+    contains, ray_boundary = ConvexDomain.contains, ConvexDomain.ray_boundary
 
-    def ray_boundary(self, x, y) -> Hit:
-        x, y, d = self._check_ray_inputs(x, y)
+    def _margin(self, x) -> float:
+        return min(p._margin(x) for p in self.parts)
+
+    def _margins(self, X) -> np.ndarray:
+        return np.min([p._margins(X) for p in self.parts], axis=0)
+
+    def _hit(self, x, y, d) -> Hit:
         best = None
         for p in self.parts:
-            hit = p.ray_boundary(x, y)
+            hit = p._hit(x, y, d)
             if not hit.at_infinity and (best is None or hit.t < best.t):
                 best = hit
         if best is None:
             return Hit.escaped(d)
         return best
+
+    def _exits(self, X, Y) -> np.ndarray:
+        return np.min([p._exits(X, Y) for p in self.parts], axis=0)
 
     def support_direction(self, a) -> Vector:
         a = as_point(a, self.dim)

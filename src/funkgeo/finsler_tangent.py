@@ -20,12 +20,13 @@ from .metric_engine import funk
 def tangent_norm(domain: ConvexDomain, p, v) -> float:
     """Gauge of the translated domain at v (0 for the zero vector)."""
     p = as_point(p, domain.dim, "base point")
-    if domain.contains(p) <= 0.0:
+    if domain._margin(p) <= 0.0:
         raise GeometryError("base point must be interior to the domain")
     v = as_point(v, domain.dim, "vector")
     if np.linalg.norm(v) <= tol.EPS_PT:
         return 0.0
-    hit = domain.ray_boundary(p, p + v)
+    y = p + v
+    hit = domain._hit(p, y, y - p)
     if hit.at_infinity:
         return 0.0
     return 1.0 / hit.t

@@ -32,7 +32,8 @@ from .convex_core import (
     as_point,
     to_projective,
 )
-from .metric_engine import funk, hilbert
+from . import metric_engine
+from .metric_engine import _check_interior, _funk, _hilbert
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,13 @@ def triangle_report(domain: ConvexDomain, x, y, z,
     for p, q, name in ((x, y, "x, y"), (y, z, "y, z"), (x, z, "x, z")):
         if np.linalg.norm(q - p) <= tol.EPS_PT:
             raise GeometryError(f"triangle report needs distinct points ({name} coincide)")
-    defect = funk(domain, x, y) + funk(domain, y, z) - funk(domain, x, z)
-    rows = np.vstack([
-        to_projective(domain.ray_boundary(x, y)),
-        to_projective(domain.ray_boundary(y, z)),
-        to_projective(domain.ray_boundary(x, z)),
-    ])
+    for p, name in ((x, "x"), (y, "y"), (z, "y")):  # z is the target of (y, z)
+        _check_interior(domain, p, name)
+    hits = [domain._hit(p, q, q - p) for p, q in ((x, y), (y, z), (x, z))]
+    # Through the module, so the one exit-to-distance conversion is used.
+    fxy, fyz, fxz = (metric_engine._from_parameter(h.t) for h in hits)
+    defect = fxy + fyz - fxz
+    rows = np.vstack([to_projective(h) for h in hits])
     svals = np.linalg.svd(rows, compute_uv=False)
     ratio = float(svals[-1] / svals[0])
     eps = tol.EPS_RANK if eps_rank is None else eps_rank
@@ -114,32 +116,32 @@ def cone_member(polytope: HPolytope, cone: FaceCone, v) -> bool:
     return cone.face <= polytope.active_face(hit.point)
 
 
-def verify_geodesic(domain: ConvexDomain, polyline,
-                    eps: float | None = None) -> tuple[bool, float]:
-    """Whether a polyline is a Funk geodesic, with its additivity defect.
+def _verify_polyline(metric, domain: ConvexDomain, polyline,
+                     eps: float | None) -> tuple[bool, float]:
+    """Additivity test of ``metric`` (a kernel on validated points) along a polyline.
 
     defect = sum of consecutive distances minus the endpoint distance;
     geodesic iff the defect is below ``eps`` (triangle-inequality chain).
     """
-    pts = [as_point(p, domain.dim, f"polyline[{i}]") for i, p in enumerate(polyline)]
+    pts = [_check_interior(domain, p, f"polyline[{i}]") for i, p in enumerate(polyline)]
     if len(pts) < 2:
         raise GeometryError("a polyline needs at least two points")
-    total = sum(funk(domain, pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-    defect = total - funk(domain, pts[0], pts[-1])
+    total = sum(metric(domain, pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+    defect = total - metric(domain, pts[0], pts[-1])
     eps = tol.EPS_GEODESIC if eps is None else eps
     return bool(defect <= eps), float(defect)
+
+
+def verify_geodesic(domain: ConvexDomain, polyline,
+                    eps: float | None = None) -> tuple[bool, float]:
+    """Whether a polyline is a Funk geodesic, with its additivity defect."""
+    return _verify_polyline(_funk, domain, polyline, eps)
 
 
 def verify_hilbert_geodesic(domain: ConvexDomain, polyline,
                             eps: float | None = None) -> tuple[bool, float]:
     """Geodesic test for the Hilbert distance (additivity of H)."""
-    pts = [as_point(p, domain.dim, f"polyline[{i}]") for i, p in enumerate(polyline)]
-    if len(pts) < 2:
-        raise GeometryError("a polyline needs at least two points")
-    total = sum(hilbert(domain, pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-    defect = total - hilbert(domain, pts[0], pts[-1])
-    eps = tol.EPS_GEODESIC if eps is None else eps
-    return bool(defect <= eps), float(defect)
+    return _verify_polyline(_hilbert, domain, polyline, eps)
 
 
 def polyline_face_witness(polytope: HPolytope, polyline,

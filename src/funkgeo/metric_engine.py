@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .convex_core import (
-    ConvexDomain,
-    EuclideanBall,
-    GeometryError,
-    HPolytope,
-    as_point,
-)
+from .convex_core import ConvexDomain, EuclideanBall, GeometryError, HPolytope, as_point
 
 
 def _from_parameter(t: float) -> float:
@@ -50,18 +44,28 @@ def _from_parameter(t: float) -> float:
 
 def _check_interior(domain: ConvexDomain, p, name: str):
     p = as_point(p, domain.dim, name)
-    if domain.contains(p) <= 0.0:
+    if domain._margin(p) <= 0.0:
         raise GeometryError(f"{name} is not interior to the domain")
     return p
+
+
+def _funk(domain: ConvexDomain, x, y) -> float:
+    """Funk distance of two validated interior points."""
+    d = y - x
+    if np.linalg.norm(d) <= tol.EPS_PT:
+        return 0.0
+    return _from_parameter(domain._hit(x, y, d).t)
+
+
+def _hilbert(domain: ConvexDomain, x, y) -> float:
+    """Hilbert distance of two validated interior points."""
+    return 0.5 * (_funk(domain, x, y) + _funk(domain, y, x))
 
 
 def funk(domain: ConvexDomain, x, y) -> float:
     """Funk distance from x to y (zero when the ray x->y never exits)."""
     x = _check_interior(domain, x, "x")
-    y = _check_interior(domain, y, "y")
-    if np.linalg.norm(y - x) <= tol.EPS_PT:
-        return 0.0
-    return _from_parameter(domain.ray_boundary(x, y).t)
+    return _funk(domain, x, _check_interior(domain, y, "y"))
 
 
 def reverse_funk(domain: ConvexDomain, x, y) -> float:
@@ -75,36 +79,35 @@ def hilbert(domain: ConvexDomain, x, y) -> float:
     Equals half the logarithm of the cross ratio of (b, x, y, a) where a
     and b are the two exits of the line through x and y.
     """
-    return 0.5 * (funk(domain, x, y) + funk(domain, y, x))
+    x = _check_interior(domain, x, "x")
+    return _hilbert(domain, x, _check_interior(domain, y, "y"))
 
 
 def max_symmetrized(domain: ConvexDomain, x, y) -> float:
     """Max-symmetrization of the Funk distance."""
-    return max(funk(domain, x, y), funk(domain, y, x))
+    x = _check_interior(domain, x, "x")
+    y = _check_interior(domain, y, "y")
+    return max(_funk(domain, x, y), _funk(domain, y, x))
 
 
 # Containment of omega in the englobing domain is validated by sampling the
-# first time a pair of domains is seen; later calls reuse the verdict.
-_CONTAINMENT_CACHE: dict[tuple[int, int], tuple] = {}
+# first time a pair of domains is seen; the verdict lives as long as both.
+_CONTAINMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _CONTAINMENT_SAMPLES = 1000
 
 
 def _validate_containment(omega: ConvexDomain, outer: ConvexDomain) -> None:
-    key = (id(omega), id(outer))
-    cached = _CONTAINMENT_CACHE.get(key)
-    if cached is not None:
-        ref_o, ref_u = cached
-        if ref_o() is omega and ref_u() is outer:
-            return
+    verified = _CONTAINMENT_CACHE.setdefault(omega, weakref.WeakSet())
+    if outer in verified:
+        return
     rng = np.random.default_rng(20260808)
-    pts = omega.interior_samples(_CONTAINMENT_SAMPLES, rng)
-    margins = np.array([outer.contains(p) for p in pts])
+    margins = outer._margins(omega.interior_samples(_CONTAINMENT_SAMPLES, rng))
     if np.any(margins <= 0.0):
         raise GeometryError(
             "relative Funk distance needs the domain inside the englobing "
             f"domain; {int(np.sum(margins <= 0.0))} of "
             f"{_CONTAINMENT_SAMPLES} sampled points fall outside")
-    _CONTAINMENT_CACHE[key] = (weakref.ref(omega), weakref.ref(outer))
+    verified.add(outer)
 
 
 def relative_funk(omega: ConvexDomain, outer: ConvexDomain | None, x, y) -> float:
@@ -123,10 +126,13 @@ def relative_funk(omega: ConvexDomain, outer: ConvexDomain | None, x, y) -> floa
         _validate_containment(omega, outer)
     x = _check_interior(domain=omega, p=x, name="x")
     y = _check_interior(domain=omega, p=y, name="y")
-    if np.linalg.norm(y - x) <= tol.EPS_PT:
+    d = y - x
+    if np.linalg.norm(d) <= tol.EPS_PT:
         return 0.0
-    value = _from_parameter(omega.ray_boundary(x, y).t) \
-        + _from_parameter(outer.ray_boundary(y, x).t)
+    if outer._margin(y) <= 0.0:  # y is the origin of the reverse ray
+        raise GeometryError("ray origin is not interior to the domain")
+    value = _from_parameter(omega._hit(x, y, d).t) \
+        + _from_parameter(outer._hit(y, x, -d).t)
     return 0.0 if value < tol.F_CLAMP else value
 
 
@@ -240,46 +246,21 @@ def minkowski_max_distance(u, v) -> float:
 def funk_batch(domain: ConvexDomain, X, Y) -> np.ndarray:
     """Funk distances for many point pairs at once.
 
-    Vectorized ray casting for polytopes and balls; other domain kinds
-    fall back to a per-pair loop.  Same formulas as :func:`funk`.
+    One call of the domain's row kernel ``_exits``; same formulas as
+    :func:`funk`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape != Y.shape or X.shape[1] != domain.dim:
         raise GeometryError("point arrays must be (m, dim) and congruent")
-
-    if isinstance(domain, HPolytope):
-        slack_x = domain.b - X @ domain.A.T  # (m, k)
-        slack_y = domain.b - Y @ domain.A.T
-        if np.min(slack_x) <= 0.0 or np.min(slack_y) <= 0.0:
+    t = domain._exits(X, Y)
+    if not np.all(t > 1.0):  # a point is not interior, or a target is on the boundary
+        if not isinstance(domain, (HPolytope, EuclideanBall)):
+            # Composed kinds answer as the per-pair funk does, message included.
+            return np.array([funk(domain, x, y) for x, y in zip(X, Y)])
+        if not np.all(domain._margins(np.vstack([X, Y])) > 0.0):
             raise GeometryError("all points must be interior to the domain")
-        D = Y - X
-        lengths = np.linalg.norm(D, axis=1)
-        deriv = D @ domain.A.T
-        scaled = deriv / (domain._row_norms * np.maximum(lengths, tol.EPS_PT)[:, None])
-        t_all = np.where(scaled > tol.EPS_DIR, slack_x / np.where(
-            scaled > tol.EPS_DIR, deriv, 1.0), np.inf)
-        t = np.min(t_all, axis=1)
-        return _batch_from_parameters(t, lengths)
-
-    if isinstance(domain, EuclideanBall):
-        Wx = X - domain.center
-        if np.max(np.linalg.norm(Wx, axis=1)) >= domain.radius \
-                or np.max(np.linalg.norm(Y - domain.center, axis=1)) >= domain.radius:
-            raise GeometryError("all points must be interior to the domain")
-        D = Y - X
-        lengths = np.linalg.norm(D, axis=1)
-        alpha = np.einsum("ij,ij->i", D, D)
-        beta = np.einsum("ij,ij->i", D, Wx)
-        gamma = np.einsum("ij,ij->i", Wx, Wx) - domain.radius ** 2
-        safe = lengths > tol.EPS_PT
-        t = np.ones_like(lengths) * np.inf
-        a, bq, g = alpha[safe], beta[safe], gamma[safe]
-        root = np.sqrt(bq * bq - a * g)
-        t[safe] = np.where(bq > 0.0, -g / (bq + root), (root - bq) / a)
-        return _batch_from_parameters(t, lengths)
-
-    return np.array([funk(domain, x, y) for x, y in zip(X, Y)])
+    return _batch_from_parameters(t, np.linalg.norm(Y - X, axis=1))
 
 
 def _batch_from_parameters(t: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -184,9 +184,8 @@ def nearest_on_convex(domain: HPolytope, x, a_set: HPolytope,
 
 def _validate_subset(domain: ConvexDomain, a_set: ConvexDomain,
                      samples: int = 1000) -> None:
-    for p in _a_side_points(a_set, samples):
-        if domain.contains(p) <= 0.0:
-            raise GeometryError("target set is not contained in the domain")
+    if np.any(domain._margins(_a_side_points(a_set, samples)) <= 0.0):
+        raise GeometryError("target set is not contained in the domain")
 
 
 def _support_candidates(domain: ConvexDomain, a: np.ndarray) -> list[LinearForm]:

@@ -130,15 +130,11 @@ def random_polygon(rng: np.random.Generator, k: int = 6) -> HPolytope:
 def sample_interior(domain, rng: np.random.Generator, m: int,
                     bound: float = 1.7, min_margin: float = 1e-6) -> np.ndarray:
     """m interior points by rejection from a bounding box."""
-    out = []
+    out = np.empty((0, domain.dim))
     while len(out) < m:
         block = rng.uniform(-bound, bound, size=(4 * m, domain.dim))
-        for p in block:
-            if domain.contains(p) > min_margin:
-                out.append(p)
-                if len(out) == m:
-                    break
-    return np.array(out)
+        out = np.vstack([out, block[domain._margins(block) > min_margin][:m - len(out)]])
+    return out
 
 
 def random_affine_map(rng: np.random.Generator, dim: int) -> AffineMap:
@@ -1319,6 +1315,4 @@ def _jsonable(value):
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, float):
-        return value
     return value

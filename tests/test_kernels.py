@@ -1,0 +1,338 @@
+"""The unchecked per-kind kernels and the single validation in front of them.
+
+Every domain kind has scalar kernels (``_margin``, ``_hit``) and row
+kernels (``_margins``, ``_exits``).  The public functions validate their
+inputs once and then call only kernels; these tests pin the agreement of
+the two kernel sets, the error messages of the public functions, and the
+random streams of the samplers built on the row kernels.
+"""
+
+import gc
+import math
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from funkgeo import (
+    AffineImage,
+    AffineMap,
+    EuclideanBall,
+    GeometryError,
+    HPolytope,
+    IntersectionDomain,
+    funk,
+    funk_batch,
+    hilbert,
+    max_symmetrized,
+    relative_funk,
+    reverse_funk,
+    tangent_norm,
+    triangle_report,
+)
+from funkgeo import metric_engine
+from funkgeo.suites import sample_interior
+
+SQUARE = HPolytope.box([-1.0, -1.0], [1.0, 1.0])
+KINDS = {
+    "hpolytope": SQUARE,
+    "ball": EuclideanBall([0.25, -0.5], 1.25),
+    "affine_image": AffineImage(SQUARE, AffineMap([[2.0, 0.5], [0.0, 1.0]], [0.25, -0.5])),
+    "intersection": IntersectionDomain([SQUARE, EuclideanBall([0.3, 0.0], 1.1)],
+                                       witness=[0.0, 0.0]),
+}
+COMPOSED = ("affine_image", "intersection")
+
+coords = st.floats(-2.5, 2.5, allow_nan=False)
+points = st.tuples(coords, coords).map(np.array)
+polar = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.995))
+
+
+def _interior(domain, angle_and_fraction):
+    """The point that fraction of the way from the base point to the boundary."""
+    angle, fraction = angle_and_fraction
+    p = domain.base_point()
+    u = np.array([math.cos(angle), math.sin(angle)])
+    return p + fraction * domain.ray_boundary(p, p + u).t * u
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300) or a == b
+
+
+# --- scalar and row kernels agree ---------------------------------------------------
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(polars=st.lists(st.tuples(polar, polar), min_size=1, max_size=6))
+def test_scalar_ray_row_exits_and_batch_agree(kind, polars):
+    domain = KINDS[kind]
+    pairs = [(_interior(domain, p), _interior(domain, q)) for p, q in polars]
+    X = np.array([p for p, _ in pairs])
+    Y = np.array([q for _, q in pairs])
+    t_rows = domain._exits(X, Y)
+    for (p, q), t_row in zip(pairs, t_rows):
+        if np.linalg.norm(q - p) > 1e-9:
+            assert _close(domain.ray_boundary(p, q).t, t_row)
+    # The per-pair loop composed kinds used before they had a row kernel.
+    reference = [funk(domain, p, q) for p, q in pairs]
+    for got, want in zip(funk_batch(domain, X, Y), reference):
+        assert _close(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(pts=st.lists(points, min_size=1, max_size=8))
+def test_row_margins_match_scalar_margins(kind, pts):
+    domain = KINDS[kind]
+    X = np.array(pts)
+    for p, m in zip(X, domain._margins(X)):
+        assert domain.contains(p) == pytest.approx(m, rel=1e-12, abs=1e-15)
+
+
+def _last_interior_point(domain):
+    # The origin-side neighbour of 1 on the x-axis: interior by 1e-16, and
+    # from x = -0.5 the direction rounds so that the exit parameter is 1.
+    return [-0.5, 0.0], [math.nextafter(1.0, 0.0), 0.0]
+
+
+# (x, y) with y on the boundary at double precision.  The centre, radius
+# and map are dyadic, so these margins are exact in every kernel.
+NEAR_BOUNDARY = {
+    "hpolytope": [_last_interior_point(SQUARE), ([0.2, 0.1], [1.0, 0.3])],
+    "ball": [([0.0, 0.0], [1.5, -0.5]), ([0.1, -0.3], [0.25, 0.75])],
+    "affine_image": [([0.25, -0.5], [2.5, 0.0]), ([0.3, 0.1], [0.75, -1.5])],
+    "intersection": [_last_interior_point(SQUARE), ([0.2, 0.1], [0.0, -1.0])],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_near_boundary_targets_raise_in_both_paths(kind):
+    domain = KINDS[kind]
+    for x, y in NEAR_BOUNDARY[kind]:
+        with pytest.raises(GeometryError):
+            funk(domain, x, y)
+        with pytest.raises(GeometryError):
+            funk_batch(domain, [x], [y])
+
+
+def _answer(call):
+    try:
+        return call()
+    except GeometryError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_funk_and_funk_batch_agree_at_ray_exit_points(kind):
+    # A ray's exit point lies within an ulp of the boundary, so whether it is
+    # interior, and whether its exit parameter exceeds 1, turn on the last
+    # bit.  The row kernels round as the scalar ones on these domains, so
+    # both paths give the same verdict; composed kinds also give funk's
+    # message.
+    domain = KINDS[kind]
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(300):
+        x = sample_interior(domain, rng, 1, bound=1.0, min_margin=0.05)[0]
+        a = domain.ray_boundary(x, x + rng.standard_normal(2)).point
+        one = _answer(lambda: funk(domain, x, a))
+        row = _answer(lambda: funk_batch(domain, [x], [a])[0])
+        assert isinstance(one, str) == isinstance(row, str)
+        if isinstance(one, str):
+            assert one == row or kind not in COMPOSED
+        else:
+            assert _close(one, row)
+        verdicts.add(isinstance(one, str))
+    assert verdicts == {True, False}
+
+
+def test_last_interior_point_is_interior_and_numerically_on_the_boundary():
+    x, y = _last_interior_point(SQUARE)
+    assert SQUARE.contains(y) > 0.0
+    with pytest.raises(GeometryError, match="numerically on the boundary"):
+        funk(SQUARE, x, y)
+
+
+def test_parallel_ray_on_unbounded_polytope_is_zero_in_both_paths(half_plane):
+    x, y = np.array([0.0, 1.0]), np.array([2.0, 1.0])
+    assert half_plane.ray_boundary(x, y).at_infinity
+    assert half_plane._exits(x[None], y[None])[0] == np.inf
+    assert funk(half_plane, x, y) == 0.0
+    assert funk_batch(half_plane, [x], [y])[0] == 0.0
+    image = AffineImage(half_plane, AffineMap([[1.0, 1.0], [0.0, 2.0]], [0.0, 0.0]))
+    xi, yi = image.map(x), image.map(y)
+    assert funk(image, xi, yi) == 0.0
+    assert funk_batch(image, [xi], [yi])[0] == 0.0
+
+
+# --- validation happens once, at the public function -------------------------------
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(name)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_queries_validate_once_and_cast_once_per_exit(monkeypatch):
+    margins = _count_calls(monkeypatch, HPolytope, "_margin")
+    hits = _count_calls(monkeypatch, HPolytope, "_hit")
+    contains = _count_calls(monkeypatch, HPolytope, "contains")
+    x, y, z = [0.1, 0.0], [0.2, 0.3], [-0.3, 0.1]
+    for call, casts in ((lambda: funk(SQUARE, x, y), 1),
+                        (lambda: hilbert(SQUARE, x, y), 2),
+                        (lambda: triangle_report(SQUARE, x, y, z), 3)):
+        margins.clear()
+        hits.clear()
+        call()
+        assert len(hits) == casts
+        assert len(margins) <= 3
+    assert not contains
+
+
+# --- the same messages as the per-pair code ------------------------------------------
+
+IN, IN2, IN3 = [0.1, 0.0], [0.2, 0.3], [-0.3, 0.1]
+OUT, NAN, INF, DIM3 = [5.0, 5.0], [np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0, 0.0]
+OUTER = HPolytope.box([-4.0, -4.0], [4.0, 4.0])
+
+
+def _rel(domain, *args):
+    return relative_funk(domain, OUTER, *args)
+
+
+PAIR_MESSAGES = (((OUT, IN), "x is not interior to the domain"),
+                 ((NAN, IN), "x has a non-finite coordinate"),
+                 ((DIM3, IN), "x has dimension 3, expected 2"),
+                 ((IN, OUT), "y is not interior to the domain"),
+                 ((IN, INF), "y has a non-finite coordinate"),
+                 ((IN, DIM3), "y has dimension 3, expected 2"))
+
+MESSAGES = [  # (function, arguments after the domain, message), on every kind
+    *[(fn, args, msg) for fn in (funk, hilbert, max_symmetrized, _rel)
+      for args, msg in PAIR_MESSAGES],
+    # reverse_funk(x, y) is funk(y, x), and its messages name the points so
+    *[(reverse_funk, args[::-1], msg) for args, msg in PAIR_MESSAGES],
+    (tangent_norm, (OUT, [1.0, 0.0]), "base point must be interior to the domain"),
+    (tangent_norm, (INF, [1.0, 0.0]), "base point has a non-finite coordinate"),
+    (tangent_norm, (IN, NAN), "vector has a non-finite coordinate"),
+    (tangent_norm, (IN, DIM3), "vector has dimension 3, expected 2"),
+    (triangle_report, (OUT, IN2, IN3), "x is not interior to the domain"),
+    (triangle_report, (IN, OUT, IN3), "y is not interior to the domain"),
+    (triangle_report, (IN, IN2, OUT), "y is not interior to the domain"),
+    (triangle_report, (IN, IN2, NAN), "z has a non-finite coordinate"),
+    (triangle_report, (IN, DIM3, IN3), "y has dimension 3, expected 2"),
+    (triangle_report, (IN, IN, IN3), "triangle report needs distinct points (x, y coincide)"),
+    (triangle_report, (IN, IN2, IN2), "triangle report needs distinct points (y, z coincide)"),
+    (triangle_report, (IN, IN2, IN), "triangle report needs distinct points (x, z coincide)"),
+    (funk_batch, ([IN, IN2], [IN3]), "point arrays must be (m, dim) and congruent"),
+    (funk_batch, ([DIM3], [DIM3]), "point arrays must be (m, dim) and congruent"),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("fn, args, message", MESSAGES)
+def test_public_functions_keep_their_messages(kind, fn, args, message):
+    with pytest.raises(GeometryError) as err:
+        fn(KINDS[kind], *args)
+    assert str(err.value) == message
+
+
+BATCH_MESSAGES = [  # (X, Y, message of a composed kind)
+    ([IN, OUT], [IN2, IN3], "x is not interior to the domain"),
+    ([IN, IN2], [IN3, OUT], "y is not interior to the domain"),
+    ([IN, INF], [IN2, IN3], "x has a non-finite coordinate"),
+    ([IN, IN2], [IN3, NAN], "y has a non-finite coordinate"),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("X, Y, composed_message", BATCH_MESSAGES)
+def test_funk_batch_keeps_its_messages(kind, X, Y, composed_message):
+    # Primitive kinds report the whole batch; composed kinds name the first
+    # offending pair.  A non-finite row is not interior on any kind.
+    message = composed_message if kind in COMPOSED else \
+        "all points must be interior to the domain"
+    with pytest.raises(GeometryError) as err:
+        funk_batch(KINDS[kind], X, Y)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_coincident_points_are_at_distance_zero(kind):
+    domain = KINDS[kind]
+    assert funk(domain, IN, IN) == hilbert(domain, IN, IN) == _rel(domain, IN, IN) == 0.0
+    assert tangent_norm(domain, IN, [0.0, 0.0]) == 0.0
+    assert np.all(funk_batch(domain, [IN, IN2], [IN, IN2]) == 0.0)
+
+
+def test_relative_funk_checks_the_reverse_origin_in_the_englobing_domain():
+    # The sampled containment check misses this corner sliver of the square.
+    corner = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [4, 4, 4, 4, 1.99999])
+    with pytest.raises(GeometryError) as err:
+        relative_funk(SQUARE, corner, [0.0, 0.0], [0.999999, 0.999999])
+    assert str(err.value) == "ray origin is not interior to the domain"
+
+
+# --- the containment cache ------------------------------------------------------------
+
+def test_containment_cache_entries_die_with_their_domains():
+    cache = metric_engine._CONTAINMENT_CACHE
+    gc.collect()
+    before = len(cache)
+    omega = EuclideanBall([0.0, 0.0], 1.0)
+    outer = HPolytope.box([-2.0, -2.0], [2.0, 2.0])
+    relative_funk(omega, outer, [0.0, 0.0], [0.5, 0.0])
+    assert len(cache) == before + 1 and outer in cache[omega]
+    alive = weakref.ref(omega), weakref.ref(outer)
+    del omega, outer
+    gc.collect()
+    assert alive[0]() is None and alive[1]() is None
+    assert len(cache) == before
+
+
+# --- samplers keep their random streams ------------------------------------------------
+
+def _sample_interior_per_point(domain, rng, m, bound=1.7, min_margin=1e-6):
+    out = []
+    while len(out) < m:
+        block = rng.uniform(-bound, bound, size=(4 * m, domain.dim))
+        for p in block:
+            if domain.contains(p) > min_margin:
+                out.append(p)
+                if len(out) == m:
+                    break
+    return np.array(out)
+
+
+def _interior_samples_per_point(domain, k, rng, reach=1e3):
+    p = domain.base_point()
+    out = np.empty((k, domain.dim))
+    for i in range(k):
+        u = rng.standard_normal(domain.dim)
+        u /= np.linalg.norm(u)
+        t_max = min(domain.ray_boundary(p, p + u).t, reach)
+        out[i] = p + (0.999 * rng.random() ** (1.0 / domain.dim) * t_max) * u
+    return out
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "half_plane"])
+def test_row_samplers_draw_the_same_stream_as_per_point_loops(kind, half_plane):
+    domain = half_plane if kind == "half_plane" else KINDS[kind]
+    for seed in range(3):
+        rng_rows, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = sample_interior(domain, rng_rows, 37, bound=2.0, min_margin=0.05)
+        loop = _sample_interior_per_point(domain, rng_loop, 37, bound=2.0, min_margin=0.05)
+        assert np.array_equal(rows, loop)
+        rows = domain.interior_samples(50, rng_rows)
+        loop = _interior_samples_per_point(domain, 50, rng_loop)
+        assert np.allclose(rows, loop, rtol=1e-12, atol=1e-12)
+        assert rng_rows.random() == rng_loop.random()
