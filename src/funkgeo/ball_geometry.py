@@ -3,9 +3,9 @@
 The forward ball B+(x, rho) = {y : F(x, y) < rho} is the image of the
 domain under the Euclidean homothety at x with factor 1 - e^(-rho); the
 backward ball B-(x, rho) = {y : F(y, x) < rho} is the intersection of
-the domain with the point reflection (at x) of its homothety with factor
-e^rho - 1.  Both are realized symbolically as new domains so that every
-metric query can recurse on them.
+the domain with its homothet at x with factor -(e^rho - 1), a reflected
+one.  ``ConvexDomain.homothet`` realizes both as new domains, so that
+every metric query can recurse on them.
 
 For a bounded polytope, the Euclidean distances from an interior point x
 to the boundary lie between lambda_x (minimal constraint-plane distance)
@@ -23,10 +23,7 @@ from scipy.special import ndtri
 
 from . import tolerances as tol
 from .convex_core import (
-    AffineImage,
-    AffineMap,
     ConvexDomain,
-    EuclideanBall,
     GeometryError,
     HPolytope,
     IntersectionDomain,
@@ -72,25 +69,11 @@ def _check_ball_inputs(domain: ConvexDomain, x, rho: float) -> np.ndarray:
     return x
 
 
-def _homothet(domain: ConvexDomain, center: np.ndarray, factor: float) -> ConvexDomain:
-    """Image of the domain under the homothety at ``center`` with ``factor``."""
-    if isinstance(domain, HPolytope):
-        b_new = factor * domain.b + (1.0 - factor) * (domain.A @ center)
-        verts = None
-        if domain.vertices is not None:
-            verts = center + factor * (domain.vertices - center)
-        return HPolytope(domain.A, b_new, vertices=verts, witness=center)
-    if isinstance(domain, EuclideanBall):
-        return EuclideanBall(center + factor * (domain.center - center),
-                             factor * domain.radius)
-    return AffineImage(domain, AffineMap.homothety(center, factor))
-
-
 def forward_ball(domain: ConvexDomain, x, rho: float) -> MetricBall:
     """The forward metric ball {y : F(x, y) < rho}, realized symbolically."""
     x = _check_ball_inputs(domain, x, rho)
     factor = -math.expm1(-rho)  # 1 - e^(-rho), exact for tiny rho
-    realized = _homothet(domain, x, factor)
+    realized = domain.homothet(x, factor)
     return MetricBall(center=x, radius=float(rho), orientation=FORWARD,
                       realized=realized, ambient=domain)
 
@@ -103,16 +86,7 @@ def backward_ball(domain: ConvexDomain, x, rho: float) -> MetricBall:
     with the reflected homothet.
     """
     x = _check_ball_inputs(domain, x, rho)
-    mu = math.expm1(rho)  # e^rho - 1
-    if isinstance(domain, HPolytope):
-        reflected = HPolytope(-domain.A,
-                              mu * domain.b - (mu + 1.0) * (domain.A @ x),
-                              witness=x)
-    elif isinstance(domain, EuclideanBall):
-        reflected = EuclideanBall(x - mu * (domain.center - x), mu * domain.radius)
-    else:
-        reflected = AffineImage(
-            domain, AffineMap(-mu * np.eye(domain.dim), (1.0 + mu) * x))
+    reflected = domain.homothet(x, -math.expm1(rho))  # factor -(e^rho - 1)
     realized = IntersectionDomain([domain, reflected], witness=x)
     return MetricBall(center=x, radius=float(rho), orientation=BACKWARD,
                       realized=realized, ambient=domain)

@@ -57,11 +57,15 @@ def _parse_overrides(pairs: list[str], kind: str) -> dict:
     return out
 
 
-def _apply_tolerance_overrides(overrides: dict) -> None:
+def _apply_tolerance_overrides(overrides: dict) -> dict:
+    """Set the overrides on the tolerances module; return the values they replace."""
+    previous = {}
     for key, value in overrides.items():
         attr = key.upper()
         if hasattr(tolerances, attr):
+            previous.setdefault(attr, getattr(tolerances, attr))
             setattr(tolerances, attr, value)
+    return previous
 
 
 def _fmt12(value: float) -> str:
@@ -179,8 +183,12 @@ def _cmd_suite(args) -> int:
     cfg = RunConfig(seed=args.seed,
                     tolerances=_parse_overrides(args.tol, "tol"),
                     counts=_parse_overrides(args.count, "count"))
-    _apply_tolerance_overrides(cfg.tolerances)
-    report = run_suite(args.name, cfg)
+    previous = _apply_tolerance_overrides(cfg.tolerances)
+    try:
+        report = run_suite(args.name, cfg)
+    finally:  # an in-process caller keeps its own tolerances
+        for attr, value in previous.items():
+            setattr(tolerances, attr, value)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

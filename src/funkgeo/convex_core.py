@@ -20,6 +20,11 @@ Every domain answers three questions through one uniform interface:
   h with h(a) = 1 and h < 1 on the domain (after recentering at an
   interior base point).
 
+Per-kind geometry lives on the domain classes, as one method with a base
+default that a kind overrides only where its geometry differs: the ray
+casts, ``homothet`` (a negative factor reflects; metric balls are made of
+these), ``support_normals``, ``is_exposed_at`` and the boundary gate.
+
 All values are immutable after construction and every operation is a pure
 function, so domains are safe to share between threads.
 """
@@ -142,6 +147,7 @@ class ConvexDomain:
     """
 
     dim: int
+    vertices: np.ndarray | None = None  # vertex description, where one is known
 
     # -- interface ---------------------------------------------------------
 
@@ -163,6 +169,19 @@ class ConvexDomain:
     def support_direction(self, a) -> Vector:
         """Outward normal direction at a boundary point a."""
         raise NotImplementedError
+
+    def support_normals(self, a) -> list[Vector]:
+        """Outward normals of the support hyperplanes at a boundary point a."""
+        return [self.support_direction(a)]
+
+    def is_exposed_at(self, a) -> bool:
+        """Whether boundary point a is exposed: its support normals span the space."""
+        normals = np.array(self.support_normals(a))
+        return bool(np.linalg.matrix_rank(normals, tol=1e-10) == self.dim)
+
+    def homothet(self, center, factor: float) -> "ConvexDomain":
+        """Image under the homothety at ``center``; a negative factor reflects."""
+        return AffineImage(self, AffineMap.homothety(center, factor))
 
     def base_point(self) -> Vector:
         """A designated interior point, used for recentering."""
@@ -189,6 +208,10 @@ class ConvexDomain:
         return p + (0.999 * frac * t_max)[:, None] * U
 
     # -- unchecked kernels -------------------------------------------------
+
+    def _boundary_gate(self) -> float:
+        """Largest |contains| at which a point counts as on the boundary."""
+        return tol.EPS_BD
 
     def _margin(self, x) -> float:
         raise NotImplementedError
@@ -305,6 +328,22 @@ class HPolytope(ConvexDomain):
         act = -dist
         j = int(np.flatnonzero(act >= np.max(act) - 1e-12)[0])
         return self.A[j] / self._row_norms[j]
+
+    def support_normals(self, a) -> list[Vector]:
+        return [self.A[j] for j in sorted(self.active_face(a))]
+
+    def homothet(self, center, factor: float) -> "HPolytope":
+        center = as_point(center, self.dim, "homothety center")
+        b = factor * self.b + (1.0 - factor) * (self.A @ center)
+        verts = None
+        if self.vertices is not None:
+            verts = center + factor * (self.vertices - center)
+        s = np.sign(factor)  # a reflection flips the inequalities
+        return HPolytope(s * self.A, s * b, vertices=verts, witness=center)
+
+    def _boundary_gate(self) -> float:
+        # Margins are unnormalized slacks; widen by the largest row norm.
+        return tol.EPS_BD * float(np.max(self._row_norms))
 
     def base_point(self) -> Vector:
         if self._base is None:
@@ -447,6 +486,14 @@ class EuclideanBall(ConvexDomain):
             raise GeometryError("point is not on the ball boundary")
         return w / np.linalg.norm(w)
 
+    def is_exposed_at(self, a) -> bool:
+        return True
+
+    def homothet(self, center, factor: float) -> "EuclideanBall":
+        center = as_point(center, self.dim, "homothety center")
+        return EuclideanBall(center + factor * (self.center - center),
+                             abs(factor) * self.radius)
+
     def base_point(self) -> Vector:
         return self.center
 
@@ -535,6 +582,14 @@ class AffineImage(ConvexDomain):
         c = self.inner.support_direction(self.map.invert(a))
         return self.map.inverse_matrix.T @ c
 
+    def support_normals(self, a) -> list[Vector]:
+        a = as_point(a, self.dim)
+        return [self.map.inverse_matrix.T @ c
+                for c in self.inner.support_normals(self.map.invert(a))]
+
+    def is_exposed_at(self, a) -> bool:
+        return self.inner.is_exposed_at(self.map.invert(as_point(a, self.dim)))
+
     def base_point(self) -> Vector:
         return self.map(self.inner.base_point())
 
@@ -582,12 +637,26 @@ class IntersectionDomain(ConvexDomain):
     def _exits(self, X, Y) -> np.ndarray:
         return np.min([p._exits(X, Y) for p in self.parts], axis=0)
 
+    def _touching(self, a) -> list[ConvexDomain]:
+        """The parts whose boundary passes through a, in part order."""
+        parts = [p for p in self.parts if abs(p.contains(a)) <= p._boundary_gate()]
+        if not parts:
+            raise GeometryError("point is not on the intersection boundary")
+        return parts
+
     def support_direction(self, a) -> Vector:
         a = as_point(a, self.dim)
-        for p in self.parts:  # lowest part index wins on shared boundaries
-            if abs(p.contains(a)) <= _boundary_gate(p):
-                return p.support_direction(a)
-        raise GeometryError("point is not on the intersection boundary")
+        return self._touching(a)[0].support_direction(a)  # lowest part index wins
+
+    def support_normals(self, a) -> list[Vector]:
+        a = as_point(a, self.dim)
+        return [c for p in self._touching(a) for c in p.support_normals(a)]
+
+    def is_exposed_at(self, a) -> bool:
+        """Exposed in some part through a, or by the stacked normals of all."""
+        a = as_point(a, self.dim)
+        return (any(p.is_exposed_at(a) for p in self._touching(a))
+                or super().is_exposed_at(a))
 
     def base_point(self) -> Vector:
         if self._base is None:
@@ -605,13 +674,6 @@ class IntersectionDomain(ConvexDomain):
         if all(isinstance(p, HPolytope) for p in self.parts):
             return recession_cone_is_trivial(np.vstack([p.A for p in self.parts]))
         return False  # conservative for mixed unbounded parts
-
-
-def _boundary_gate(domain: ConvexDomain) -> float:
-    # Polytope margins are unnormalized slacks; widen by the largest row norm.
-    if isinstance(domain, HPolytope):
-        return tol.EPS_BD * float(np.max(domain._row_norms))
-    return tol.EPS_BD
 
 
 def supporting_functional(domain: ConvexDomain, a) -> LinearForm:

@@ -24,9 +24,6 @@ import numpy as np
 from . import tolerances as tol
 from .convex_core import (
     ConvexDomain,
-    EuclideanBall,
-    AffineImage,
-    IntersectionDomain,
     GeometryError,
     HPolytope,
     as_point,
@@ -166,31 +163,6 @@ def polyline_face_witness(polytope: HPolytope, polyline,
     return common if common is not None else frozenset()
 
 
-def _is_exposed(domain: ConvexDomain, a: np.ndarray) -> bool:
-    if isinstance(domain, EuclideanBall):
-        return True
-    if isinstance(domain, HPolytope):
-        idx = sorted(domain.active_face(a))
-        return bool(np.linalg.matrix_rank(domain.A[idx], tol=1e-10) == domain.dim)
-    if isinstance(domain, AffineImage):
-        return _is_exposed(domain.inner, domain.map.invert(a))
-    if isinstance(domain, IntersectionDomain):
-        rows = []
-        for part in domain.parts:
-            if abs(part.contains(a)) > 10.0 * tol.EPS_BD:
-                continue
-            if isinstance(part, EuclideanBall):
-                return True
-            if isinstance(part, HPolytope):
-                rows.extend(part.A[j] for j in part.active_face(a))
-            else:
-                rows.append(part.support_direction(a))
-        if not rows:
-            raise GeometryError("point is not on the intersection boundary")
-        return bool(np.linalg.matrix_rank(np.array(rows), tol=1e-10) == domain.dim)
-    raise GeometryError(f"exposedness undecided for {type(domain).__name__}")
-
-
 def unique_geodesic_pair(domain: ConvexDomain, x, z) -> bool:
     """Whether the geodesic from x to z is unique (up to reparametrization).
 
@@ -208,4 +180,4 @@ def unique_geodesic_pair(domain: ConvexDomain, x, z) -> bool:
     if hit.at_infinity:
         raise GeometryError(
             "unique-geodesy predicate is undefined for hits at infinity")
-    return _is_exposed(domain, hit.point)
+    return domain.is_exposed_at(hit.point)

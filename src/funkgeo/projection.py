@@ -31,7 +31,6 @@ from .convex_core import (
     HPolytope,
     LinearForm,
     as_point,
-    supporting_functional,
 )
 from .metric_engine import funk
 
@@ -178,7 +177,7 @@ def nearest_on_convex(domain: HPolytope, x, a_set: HPolytope,
             hi, point = mid, candidate
 
     distance = funk(domain, x, point)
-    certificate = _certificate_at(domain, x, point, a_set)
+    certificate = None if distance == 0.0 else _separating_form(domain, x, point, a_set)
     return Foot(point=point, distance=distance, certificate=certificate)
 
 
@@ -188,22 +187,8 @@ def _validate_subset(domain: ConvexDomain, a_set: ConvexDomain,
         raise GeometryError("target set is not contained in the domain")
 
 
-def _support_candidates(domain: ConvexDomain, a: np.ndarray) -> list[LinearForm]:
-    if isinstance(domain, HPolytope):
-        base = domain.base_point()
-        forms = []
-        for j in sorted(domain.active_face(a)):
-            c = domain.A[j]
-            denom = float(c @ (a - base))
-            if denom > 0.0:
-                coeffs = c / denom
-                forms.append(LinearForm(coeffs, -float(coeffs @ base)))
-        return forms
-    return [supporting_functional(domain, a)]
-
-
 def _a_side_points(a_set: ConvexDomain, samples: int = 1000) -> np.ndarray:
-    if isinstance(a_set, HPolytope) and a_set.vertices is not None:
+    if a_set.vertices is not None:
         return a_set.vertices
     try:
         return a_set.interior_samples(samples, np.random.default_rng(20260808))
@@ -212,18 +197,23 @@ def _a_side_points(a_set: ConvexDomain, samples: int = 1000) -> np.ndarray:
         return np.atleast_2d(_target_point(a_set))
 
 
-def _certificate_at(domain: ConvexDomain, x: np.ndarray, y: np.ndarray,
-                    a_set: ConvexDomain) -> LinearForm | None:
-    if funk(domain, x, y) == 0.0:
-        return None
-    hit = domain.ray_boundary(x, y)
+def _separating_form(domain: ConvexDomain, x: np.ndarray, y: np.ndarray,
+                     a_set: ConvexDomain) -> LinearForm | None:
+    """A supporting functional at the hit of the ray x->y whose level set
+    through y separates x from A, shifted to vanish at y; None if none does."""
+    a = domain.ray_boundary(x, y).point
+    base = domain.base_point()
     pts = _a_side_points(a_set)
-    for h in _support_candidates(domain, hit.point):
-        hy = h(y)
+    for c in domain.support_normals(a):
+        denom = float(c @ (a - base))
+        if denom <= 0.0:
+            continue
+        coeffs = c / denom  # the form is 1 at a and 0 at the base point
+        offset = -float(coeffs @ base)
+        hy = float(coeffs @ y + offset)
         gate = 1e-9 * (1.0 + abs(hy))
-        if h(x) < hy and np.min(pts @ h.coeffs + h.offset) >= hy - gate:
-            # Shift so the certificate hyperplane passes through the foot.
-            return LinearForm(h.coeffs, h.offset - hy)
+        if float(coeffs @ x + offset) < hy and np.min(pts @ coeffs + offset) >= hy - gate:
+            return LinearForm(coeffs, offset - hy)
     return None
 
 
@@ -238,16 +228,7 @@ def foot_certificate(domain: ConvexDomain, x, y, a_set: ConvexDomain) -> bool:
     y = as_point(y, domain.dim, "y")
     if a_set.contains(y) < -tol.EPS_GEOM:
         raise GeometryError("y must belong to the target set")
-    if funk(domain, x, y) == 0.0:
-        return True
-    hit = domain.ray_boundary(x, y)
-    pts = _a_side_points(a_set)
-    for h in _support_candidates(domain, hit.point):
-        hy = h(y)
-        gate = 1e-9 * (1.0 + abs(hy))
-        if h(x) < hy and np.min(pts @ h.coeffs + h.offset) >= hy - gate:
-            return True
-    return False
+    return funk(domain, x, y) == 0.0 or _separating_form(domain, x, y, a_set) is not None
 
 
 def is_perpendicular(domain: ConvexDomain, ray_from, boundary_hit,
@@ -264,11 +245,7 @@ def is_perpendicular(domain: ConvexDomain, ray_from, boundary_hit,
     if abs(plane(ray_from)) > 1e-9 * scale:
         raise GeometryError("plane must pass through the ray base")
     n = plane.coeffs / np.linalg.norm(plane.coeffs)
-    if isinstance(domain, HPolytope):
-        directions = [domain.A[j] for j in sorted(domain.active_face(boundary_hit))]
-    else:
-        directions = [domain.support_direction(boundary_hit)]
-    for c in directions:
+    for c in domain.support_normals(boundary_hit):
         u = c / np.linalg.norm(c)
         if min(np.linalg.norm(n - u), np.linalg.norm(n + u)) <= tol.EPS_PARA:
             return True

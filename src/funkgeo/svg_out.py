@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convex_core import ConvexDomain, GeometryError, HPolytope
+from .convex_core import ConvexDomain, GeometryError
 
 PX_PER_UNIT = 100.0
 OUTLINE_SAMPLES = 256
@@ -24,12 +24,12 @@ def _fmt(value: float) -> str:
 def domain_outline(domain: ConvexDomain, samples: int = OUTLINE_SAMPLES) -> np.ndarray:
     """Closed boundary polyline of a bounded 2-d domain.
 
-    Polytopes with vertex data use the exact polygon; everything else is
+    Domains with vertex data use the exact polygon; everything else is
     sampled by ray casting at equally spaced angles.
     """
     if domain.dim != 2:
         raise GeometryError("outlines are only drawn in dimension 2")
-    if isinstance(domain, HPolytope) and domain.vertices is not None:
+    if domain.vertices is not None:
         center = domain.vertices.mean(axis=0)
         order = np.argsort(np.arctan2(domain.vertices[:, 1] - center[1],
                                       domain.vertices[:, 0] - center[0]))

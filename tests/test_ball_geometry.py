@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from funkgeo import (
+    AffineImage,
+    AffineMap,
     EuclideanBall,
     GeometryError,
     HPolytope,
@@ -70,6 +72,25 @@ def test_backward_ball_membership_formula(square, rng):
         direct = (square.contains(y) > 0.0
                   and square.contains(x - (y - x) / mu) > 0.0)
         assert (bb.realized.contains(y) > 0.0) == direct
+
+
+def test_reflected_homothet_matches_explicit_reflection(square, ball, rng):
+    # The reflected part of a backward ball, against its explicit formulas.
+    image = AffineImage(ball, AffineMap([[1.0, 0.4], [0.0, 0.7]], [0.1, -0.2]))
+    for _ in range(50):
+        x = rng.uniform(-0.5, 0.5, 2)
+        mu = math.expm1(rng.uniform(0.01, 5.0))
+        poly = square.homothet(x, -mu)
+        assert np.array_equal(poly.A, -square.A)
+        assert np.array_equal(poly.b, mu * square.b - (mu + 1.0) * (square.A @ x))
+        assert np.array_equal(poly.vertices, x - mu * (square.vertices - x))
+        disk = ball.homothet(x, -mu)
+        assert np.array_equal(disk.center, x - mu * (ball.center - x))
+        assert disk.radius == mu * ball.radius
+        wrapped = image.homothet(x, -mu)
+        assert wrapped.inner is image
+        assert np.array_equal(wrapped.map.matrix, -mu * np.eye(2))
+        assert np.array_equal(wrapped.map.translation, (1.0 + mu) * x)
 
 
 def test_backward_ball_at_log2_from_center_is_square(square, rng):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from funkgeo import tolerances
 from funkgeo.cli import main
 
 SQUARE = {
@@ -174,3 +175,18 @@ def test_suite_tolerance_override_can_force_failure(capsys):
 
 def test_tolerance_override_must_exceed_machine_epsilon(capsys):
     assert main(["suite", "ratio", "--tol", "ratio.round_trip=1e-300"]) == 2
+
+
+def test_tolerance_overrides_do_not_leak_between_runs(tmp_path):
+    default = tolerances.EPS_BD
+    args = ["suite", "convex-core", "--count", "convex_core.rays=20",
+            "--count", "convex_core.monotone=5", "--count", "convex_core.equivariance=5",
+            "--count", "convex_core.support=50", "--count", "convex_core.intersection=10"]
+    assert main(args + ["--tol", "eps_bd=1e-6", "--out", str(tmp_path / "r1.json")]) == 0
+    assert tolerances.EPS_BD == default
+    assert main(args + ["--out", str(tmp_path / "r2.json")]) == 0
+    gates = [check["detail"]["tolerance"]
+             for i in (1, 2)
+             for check in json.loads((tmp_path / f"r{i}.json").read_text())["checks"]
+             if check["name"] == "ray_cast_boundary_consistency"]
+    assert gates == [1e-6, default]

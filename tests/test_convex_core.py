@@ -127,6 +127,27 @@ def test_supporting_functional_corner_tie_break(square):
     assert h.coeffs == pytest.approx([1.0, 0.0])
 
 
+def test_support_normals_and_exposedness(square, ball):
+    corner, edge = np.array([1.0, 1.0]), np.array([1.0, 0.3])
+    assert np.array_equal(square.support_normals(corner), [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(square.support_normals(edge), [[1.0, 0.0]])
+    assert square.is_exposed_at(corner) and not square.is_exposed_at(edge)
+    assert np.allclose(ball.support_normals([0.0, 1.0]), [[0.0, 1.0]])
+    assert ball.is_exposed_at([0.0, 1.0])
+    amap = AffineMap([[2.0, 0.0], [0.0, 0.5]], [0.0, 0.0])
+    image = AffineImage(square, amap)
+    assert np.array_equal(image.support_normals(amap(corner)), [[0.5, 0.0], [0.0, 2.0]])
+    assert image.is_exposed_at(amap(corner)) and not image.is_exposed_at(amap(edge))
+    assert AffineImage(ball, amap).is_exposed_at([0.0, 0.5])
+    both = IntersectionDomain([square, EuclideanBall([0.0, 0.0], 1.25)])
+    assert not both.is_exposed_at(edge)
+    junction = np.array([1.0, 0.75])  # on the edge and on the arc
+    assert np.allclose(both.support_normals(junction), [[1.0, 0.0], [0.8, 0.6]])
+    assert both.is_exposed_at(junction)
+    with pytest.raises(GeometryError):
+        both.is_exposed_at([0.0, 0.0])
+
+
 def test_supporting_functional_rejects_interior_point(square):
     with pytest.raises(GeometryError):
         supporting_functional(square, [0.0, 0.0])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from funkgeo import (
+    AffineImage,
+    AffineMap,
     EuclideanBall,
     FaceCone,
     GeometryError,
@@ -162,6 +164,12 @@ def test_unique_geodesy_through_wrappers(square):
     assert not unique_geodesic_pair(inter, [0.0, 0.0], [0.5, 0.1])
     # a diagonal ray leaves through the arc clipping the corner: exposed point
     assert unique_geodesic_pair(inter, [0.0, 0.0], [0.5, 0.5])
+    # an ellipse (affine image of a ball) is strictly convex like the disk
+    ellipse = AffineImage(EuclideanBall([0.0, 0.0], 1.0),
+                          AffineMap(np.diag([0.5, 2.0]), [0.0, 0.0]))
+    inter = IntersectionDomain([square, ellipse], witness=[0.0, 0.0])
+    assert unique_geodesic_pair(inter, [0.0, 0.0], [0.2, 0.0])
+    assert unique_geodesic_pair(ellipse, [0.0, 0.0], [0.2, 0.1])
 
 
 def test_forward_ball_not_geodesically_convex_in_square(square):

@@ -5,8 +5,12 @@ import pytest
 from scipy.optimize import linprog
 
 from funkgeo import (
+    AffineImage,
+    AffineMap,
+    EuclideanBall,
     GeometryError,
     HPolytope,
+    IntersectionDomain,
     LinearForm,
     foot_certificate,
     funk,
@@ -185,6 +189,19 @@ def test_non_nearest_point_fails_certificate(square):
     assert not foot_certificate(square, x, worse, a_set)
 
 
+def test_certificate_at_a_vertex_hit(square):
+    # The ray from the origin to the foot (0.5, 0.5) leaves at the corner
+    # (1, 1).  Only the second active edge separates the origin from A.
+    a_set = HPolytope.box([0.3, 0.5], [0.5, 0.9])
+    x, y = np.zeros(2), np.array([0.5, 0.5])
+    assert foot_certificate(square, x, y, a_set)
+    assert not foot_certificate(square, x, np.array([0.5, 0.9]), a_set)
+    # the same picture under a stretch: every active edge is tried there too
+    amap = AffineMap(np.diag([2.0, 1.0]), [0.0, 0.0])
+    assert foot_certificate(AffineImage(square, amap), x, amap(y),
+                            HPolytope.box([0.6, 0.5], [1.0, 0.9]))
+
+
 def test_zero_distance_certifies_vacuously(half_plane):
     a_set = HPolytope([[0.0, -1.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]],
                       [-0.5, 3.0, 3.0, 0.0])  # {0 <= x1 <= 3, 0.5 <= x2 <= 3}
@@ -207,6 +224,13 @@ def test_tilted_plane_not_perpendicular(ball):
 def test_perpendicular_square_edge(square):
     plane = LinearForm([1.0, 0.0], 0.0)  # {x1 = 0} through the origin
     assert is_perpendicular(square, [0.0, 0.0], [1.0, 0.0], plane)
+    # at a corner, each active edge supports a hyperplane
+    for coeffs in ([1.0, 0.0], [0.0, 1.0]):
+        assert is_perpendicular(square, [0.0, 0.0], [1.0, 1.0], LinearForm(coeffs, 0.0))
+    # where an arc meets an edge, the tangent and the edge both do
+    both = IntersectionDomain([square, EuclideanBall([0.0, 0.0], 1.25)])
+    for coeffs in ([1.0, 0.0], [0.8, 0.6]):
+        assert is_perpendicular(both, [0.0, 0.0], [1.0, 0.75], LinearForm(coeffs, 0.0))
 
 
 def test_plane_must_contain_ray_base(ball):

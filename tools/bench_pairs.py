@@ -39,8 +39,12 @@ def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds",
          str(SECONDS), "--trace", str(trace), "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True, check=False)
-    line = proc.stdout.strip().splitlines()[-1]
-    result = json.loads(line)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(
+            f"perfbench/run.py in {checkout} exited with code {proc.returncode} "
+            f"and no result line; the end of its stderr:\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
     result["exit_code"] = proc.returncode
     return result
 
