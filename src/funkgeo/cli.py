@@ -57,17 +57,6 @@ def _parse_overrides(pairs: list[str], kind: str) -> dict:
     return out
 
 
-def _apply_tolerance_overrides(overrides: dict) -> dict:
-    """Set the overrides on the tolerances module; return the values they replace."""
-    previous = {}
-    for key, value in overrides.items():
-        attr = key.upper()
-        if hasattr(tolerances, attr):
-            previous.setdefault(attr, getattr(tolerances, attr))
-            setattr(tolerances, attr, value)
-    return previous
-
-
 def _fmt12(value: float) -> str:
     return f"{value:.12f}"
 
@@ -183,12 +172,21 @@ def _cmd_suite(args) -> int:
     cfg = RunConfig(seed=args.seed,
                     tolerances=_parse_overrides(args.tol, "tol"),
                     counts=_parse_overrides(args.count, "count"))
-    previous = _apply_tolerance_overrides(cfg.tolerances)
+    previous = {}  # the tolerances module values the overrides replace
+    for key, value in cfg.tolerances.items():
+        if hasattr(tolerances, key.upper()):
+            previous.setdefault(key.upper(), getattr(tolerances, key.upper()))
+            setattr(tolerances, key.upper(), value)
     try:
         report = run_suite(args.name, cfg)
     finally:  # an in-process caller keeps its own tolerances
         for attr, value in previous.items():
             setattr(tolerances, attr, value)
+    unknown = [f"--tol {k}" for k in cfg.tolerances
+               if ("tol", k) not in cfg.read and k.upper() not in previous]
+    unknown += [f"--count {k}" for k in cfg.counts if ("count", k) not in cfg.read]
+    if unknown:
+        raise KeyError(f"no check of suite {args.name!r} reads {', '.join(unknown)}")
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

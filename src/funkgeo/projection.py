@@ -1,18 +1,18 @@
 """Nearest points ("feet") on convex subsets and perpendicularity.
 
 The distance from x to a convex set A is the smallest rho whose closed
-forward ball touches A.  Forward balls are nested homothets of the
-domain, so reachability is monotone in rho and bisection applies; on a
-segment the one-variable distance is quasi-convex (its sublevel sets are
-the segment's intersections with forward balls), so golden-section
-search applies.
+forward ball touches A.  Forward balls are the domain's homothets at x
+with factor 1 - e^-rho, so on polytopes the distance is one linear
+program in (y, factor); on a segment the one-variable distance is
+quasi-convex (its sublevel sets are the segment's intersections with
+forward balls), so golden-section search applies.
 
 A point y in A is nearest for x iff either F(x, y) = 0 or some
 supporting functional at the boundary hit of the ray x->y has its level
-hyperplane through y separating x from A; that hyperplane is the
-optimality certificate.  A ray from x is perpendicular to a hyperplane
-slice iff the hyperplane is parallel to a support hyperplane at the
-ray's boundary hit.
+hyperplane through y separating x from A; that hyperplane, a nonnegative
+combination of the support normals at the hit, is the optimality
+certificate.  A ray from x is perpendicular to a hyperplane slice iff
+the hyperplane is parallel to a support hyperplane at the ray's hit.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from ._linprog import feasible_point
+from ._linprog import INFEASIBLE, OPTIMAL, feasible_point, solve_lp
 from .convex_core import (
     ConvexDomain,
-    DomainSpecError,
     GeometryError,
     HPolytope,
     LinearForm,
@@ -121,7 +120,7 @@ def forward_ball_reaches(domain: HPolytope, x, rho: float, a_set: HPolytope
     """A point of the closed forward ball that lies in A, or None.
 
     Monotone in rho: forward balls are nested, so once reachable, always
-    reachable.  This is the feasibility kernel of :func:`nearest_on_convex`.
+    reachable.
     """
     x = as_point(x, domain.dim, "x")
     factor = -math.expm1(-rho)
@@ -131,25 +130,13 @@ def forward_ball_reaches(domain: HPolytope, x, rho: float, a_set: HPolytope
     return feasible_point(A, b)
 
 
-def _target_point(a_set: HPolytope) -> np.ndarray:
-    """Some point of the closed target; works for degenerate targets too."""
-    try:
-        return a_set.base_point()
-    except DomainSpecError:
-        pt = feasible_point(a_set.A, a_set.b)
-        if pt is None:
-            raise GeometryError("target set is empty") from None
-        return pt
-
-
-def nearest_on_convex(domain: HPolytope, x, a_set: HPolytope,
-                      rho_tol: float = 1e-10, trace: list | None = None) -> Foot:
+def nearest_on_convex(domain: HPolytope, x, a_set: HPolytope) -> Foot:
     """Foot of x on a polytopal subset A of a polytopal domain.
 
-    Bisects on the ball radius, testing whether the closed forward ball
-    meets A by linear feasibility over the stacked constraint systems.
-    Returns the touching point, its distance, and — when recoverable from
-    the active constraints — the separating-hyperplane certificate.
+    The closed forward ball of radius rho is the homothet of the domain at
+    x with factor s = 1 - e^-rho, so the smallest one that meets A is one
+    LP: min s  s.t.  A y - s (b - A x) <= A x,  A_T y <= b_T,  0 <= s <= 1.
+    Returns its y, the distance F(x, y) and the separating certificate.
     """
     if not isinstance(domain, HPolytope) or not isinstance(a_set, HPolytope):
         raise GeometryError("nearest_on_convex works on polytopal domain and target")
@@ -161,69 +148,76 @@ def nearest_on_convex(domain: HPolytope, x, a_set: HPolytope,
     if a_set.contains(x) >= 0.0:
         return Foot(point=x, distance=0.0)
 
-    hi = funk(domain, x, _target_point(a_set)) + 1e-6
-    lo = 0.0
-    point = forward_ball_reaches(domain, x, hi, a_set)
-    if point is None:
-        raise GeometryError("target set is unreachable inside the domain")
-    while hi - lo > rho_tol:
-        if trace is not None:
-            trace.append((lo, hi))
-        mid = 0.5 * (lo + hi)
-        candidate = forward_ball_reaches(domain, x, mid, a_set)
-        if candidate is None:
-            lo = mid
-        else:
-            hi, point = mid, candidate
-
+    n, Ax = domain.dim, domain.A @ x
+    lhs = np.block([[domain.A, (Ax - domain.b)[:, None]],
+                    [a_set.A, np.zeros((len(a_set.b), 1))],
+                    [np.zeros((2, n)), np.array([[-1.0], [1.0]])]])
+    status, z, _ = solve_lp(np.append(np.zeros(n), -1.0), lhs,
+                            np.concatenate([Ax, a_set.b, [0.0, 1.0]]))
+    if status != OPTIMAL:  # a target inside the domain is reached at s < 1
+        raise GeometryError("target set is empty")
+    point = z[:n]
     distance = funk(domain, x, point)
     certificate = None if distance == 0.0 else _separating_form(domain, x, point, a_set)
     return Foot(point=point, distance=distance, certificate=certificate)
 
 
-def _validate_subset(domain: ConvexDomain, a_set: ConvexDomain,
-                     samples: int = 1000) -> None:
-    if np.any(domain._margins(_a_side_points(a_set, samples)) <= 0.0):
+def _validate_subset(domain: HPolytope, a_set: HPolytope) -> None:
+    """Exact containment of the closed target in the open domain: by its
+    vertices where it has them, else by one LP per domain row (an empty
+    target passes here; the foot LP refuses it)."""
+    if a_set.vertices is not None:
+        inside = np.all(domain._margins(a_set.vertices) > 0.0)
+    else:
+        sups = [solve_lp(row, a_set.A, a_set.b) for row in domain.A]
+        inside = all(s == INFEASIBLE or (s == OPTIMAL and value < bound)
+                     for (s, _, value), bound in zip(sups, domain.b))
+    if not inside:
         raise GeometryError("target set is not contained in the domain")
 
 
-def _a_side_points(a_set: ConvexDomain, samples: int = 1000) -> np.ndarray:
-    if a_set.vertices is not None:
-        return a_set.vertices
-    try:
-        return a_set.interior_samples(samples, np.random.default_rng(20260808))
-    except (DomainSpecError, GeometryError):
-        # degenerate target with empty interior
-        return np.atleast_2d(_target_point(a_set))
-
-
 def _separating_form(domain: ConvexDomain, x: np.ndarray, y: np.ndarray,
-                     a_set: ConvexDomain) -> LinearForm | None:
+                     a_set: HPolytope) -> LinearForm | None:
     """A supporting functional at the hit of the ray x->y whose level set
-    through y separates x from A, shifted to vanish at y; None if none does."""
+    through y separates x from A, shifted to vanish at y; None if none does.
+
+    It is h = C^T lam, lam >= 0, over the support normals C at the hit.  By
+    LP duality min_A h = max {-mu.b_T : mu >= 0, A_T^T mu = -h}; one LP
+    minimizes the gap h.y - min_A h, h of unit slope along the ray, with
+    the equality met within EPS_PARA (feet found to rounding need that).
+    """
     a = domain.ray_boundary(x, y).point
+    C = np.array(domain.support_normals(a))
+    k, m, n = C.shape[0], a_set.A.shape[0], domain.dim
+    normal = np.hstack([C.T, a_set.A.T])  # h + A_T^T mu
+    slope = np.concatenate([C @ (y - x) / np.linalg.norm(y - x), np.zeros(m)])
+    lhs = np.vstack([normal, -normal, slope, -slope, -np.eye(k + m)])
+    rhs = np.concatenate([np.full(2 * n, tol.EPS_PARA), [1.0, -1.0], np.zeros(k + m)])
+    status, z, _ = solve_lp(-np.concatenate([C @ y, a_set.b]), lhs, rhs)
+    if status != OPTIMAL:
+        return None
+    h = C.T @ z[:k]
+    gap = float(h @ y + z[k:] @ a_set.b)
     base = domain.base_point()
-    pts = _a_side_points(a_set)
-    for c in domain.support_normals(a):
-        denom = float(c @ (a - base))
-        if denom <= 0.0:
-            continue
-        coeffs = c / denom  # the form is 1 at a and 0 at the base point
-        offset = -float(coeffs @ base)
-        hy = float(coeffs @ y + offset)
-        gate = 1e-9 * (1.0 + abs(hy))
-        if float(coeffs @ x + offset) < hy and np.min(pts @ coeffs + offset) >= hy - gate:
-            return LinearForm(coeffs, offset - hy)
-    return None
+    denom = float(h @ (a - base))  # > 0: each normal at a has base strictly below
+    coeffs = h / denom  # the form is 1 at a and 0 at the base point
+    offset = -float(coeffs @ base)
+    hy = float(coeffs @ y + offset)
+    if gap / denom > 1e-9 * (1.0 + abs(hy)):
+        return None
+    return LinearForm(coeffs, offset - hy)
 
 
-def foot_certificate(domain: ConvexDomain, x, y, a_set: ConvexDomain) -> bool:
+def foot_certificate(domain: ConvexDomain, x, y, a_set: HPolytope) -> bool:
     """Whether y in A is a nearest point for x, by the hyperplane criterion.
 
     Vacuously true when F(x, y) = 0.  Otherwise some supporting
-    functional at the boundary hit must reach its minimum over A at y
-    while keeping x strictly below.
+    functional at the boundary hit, a nonnegative combination of the
+    support normals there, must reach its minimum over the polytope A at
+    y while keeping x strictly below.
     """
+    if not isinstance(a_set, HPolytope):
+        raise GeometryError("foot_certificate needs a polytopal target")
     x = as_point(x, domain.dim, "x")
     y = as_point(y, domain.dim, "y")
     if a_set.contains(y) < -tol.EPS_GEOM:
@@ -236,8 +230,10 @@ def is_perpendicular(domain: ConvexDomain, ray_from, boundary_hit,
     """Whether the ray to a boundary point is perpendicular to a plane slice.
 
     The plane must pass through the ray base.  Perpendicularity holds iff
-    the plane is parallel to some support hyperplane at the boundary hit
-    (any active constraint of a polytope, the tangent plane of a ball).
+    the plane is parallel to some support hyperplane at the boundary hit:
+    its normal lies in the cone of the support normals there (any
+    combination of the active constraints of a polytope, the tangent
+    plane of a ball).
     """
     ray_from = as_point(ray_from, domain.dim, "ray base")
     boundary_hit = as_point(boundary_hit, domain.dim, "boundary point")
@@ -245,8 +241,9 @@ def is_perpendicular(domain: ConvexDomain, ray_from, boundary_hit,
     if abs(plane(ray_from)) > 1e-9 * scale:
         raise GeometryError("plane must pass through the ray base")
     n = plane.coeffs / np.linalg.norm(plane.coeffs)
-    for c in domain.support_normals(boundary_hit):
-        u = c / np.linalg.norm(c)
-        if min(np.linalg.norm(n - u), np.linalg.norm(n + u)) <= tol.EPS_PARA:
-            return True
-    return False
+    U = np.array([c / np.linalg.norm(c) for c in domain.support_normals(boundary_hit)])
+    # +-n in the cone of the unit normals, each coordinate within EPS_PARA
+    lhs = np.vstack([U.T, -U.T, -np.eye(len(U))])
+    rhs = np.concatenate([n, -n, np.zeros(len(U))])
+    band = np.concatenate([np.full(2 * domain.dim, tol.EPS_PARA), np.zeros(len(U))])
+    return any(feasible_point(lhs, s * rhs + band) is not None for s in (1.0, -1.0))

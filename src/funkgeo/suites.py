@@ -73,19 +73,22 @@ class CheckResult:
 
 @dataclass
 class RunConfig:
-    """Seed, tolerance overrides and sample-count overrides for one run."""
+    """Seed, tolerance and count overrides of a run, and the keys its checks read."""
 
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
+    read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def rng(self, salt: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, salt])
 
     def tol(self, key: str, default: float) -> float:
+        self.read.add(("tol", key))
         return float(self.tolerances.get(key, default))
 
     def count(self, key: str, default: int) -> int:
+        self.read.add(("count", key))
         return int(self.counts.get(key, default))
 
 
@@ -945,15 +948,15 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
     a_set = HPolytope([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                       [-0.5, 0.9, 0.9, 0.9],
                       vertices=[[0.5, -0.9], [0.5, 0.9], [0.9, -0.9], [0.9, 0.9]])
-    foot = nearest_on_convex(square, np.zeros(2), a_set)
-    cert_ok = foot.certificate is not None and foot_certificate(
-        square, np.zeros(2), foot.point, a_set)
-    halfspace_ok = (abs(foot.distance - math.log(2.0)) <= 1e-9
-                    and abs(foot.point[0] - 0.5) <= 1e-8 and cert_ok)
+    half = nearest_on_convex(square, np.zeros(2), a_set)
+    cert_ok = half.certificate is not None and foot_certificate(
+        square, np.zeros(2), half.point, a_set)
+    halfspace_ok = (abs(half.distance - math.log(2.0)) <= 1e-9
+                    and abs(half.point[0] - 0.5) <= 1e-8 and cert_ok)
     checks.append(CheckResult("halfspace_target_foot_and_certificate",
                               halfspace_ok,
-                              {"distance": foot.distance,
-                               "foot": foot.point.tolist()}))
+                              {"distance": half.distance,
+                               "foot": half.point.tolist()}))
 
     n_conv = cfg.count("projection.convex_targets", 25)
     all_cert = True
@@ -978,19 +981,20 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
     checks.append(CheckResult("non_nearest_points_fail_certificate",
                               non_near_false, {}))
 
-    trace: list = []
-    nearest_on_convex(square, np.zeros(2), a_set, trace=trace)
-    brackets_ok = all(lo < hi for lo, hi in trace) and all(
-        trace[i][0] <= trace[i + 1][0] + 1e-15
-        and trace[i][1] >= trace[i + 1][1] - 1e-15
-        for i in range(len(trace) - 1))
+    # The LP's radius rho* is tight: the ball reaches A at rho* and not below
+    # it, and rho* = -log(1 - s*) for the foot's gauge s* about the origin.
+    rho = half.distance
     rho_grid = np.linspace(0.05, 1.5, 20)
     feas = [forward_ball_reaches(square, np.zeros(2), r, a_set) is not None
             for r in rho_grid]
     monotone = all(not (feas[i] and not feas[i + 1]) for i in range(len(feas) - 1))
-    checks.append(CheckResult("bisection_brackets_monotone",
-                              brackets_ok and monotone,
-                              {"iterations": len(trace)}))
+    gap = abs(rho + math.log1p(-np.max(square.A @ half.point / square.b)))
+    checks.append(CheckResult(
+        "optimal_radius_is_tight",
+        monotone and forward_ball_reaches(square, np.zeros(2), rho, a_set) is not None
+        and forward_ball_reaches(square, np.zeros(2), rho * (1.0 - 1e-6), a_set) is None
+        and gap <= 1e-12,
+        {"rho_gap": gap}))
 
     plane = LinearForm([0.0, 1.0], 0.0)
     perp = is_perpendicular(ball, np.zeros(2), np.array([0.0, 1.0]), plane)

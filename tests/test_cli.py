@@ -173,6 +173,19 @@ def test_suite_tolerance_override_can_force_failure(capsys):
                  "--tol", "ratio.round_trip=3e-16"]) == 1
 
 
+def test_suite_unknown_override_keys_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["suite", "ratio", "--count", "ratio.configs=20",
+                 "--count", "ratio.config=5", "--count", "axioms.triples=5",
+                 "--tol", "eps_bd=1e-6", "--tol", "ratio.round_trip=1e-9",
+                 "--tol", "ratio.roundtrip=1e-9", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for key in ("--count ratio.config,", "--count axioms.triples", "--tol ratio.roundtrip"):
+        assert key in err
+    assert "eps_bd" not in err and "ratio.configs" not in err and "round_trip" not in err
+    assert not out.exists()
+
+
 def test_tolerance_override_must_exceed_machine_epsilon(capsys):
     assert main(["suite", "ratio", "--tol", "ratio.round_trip=1e-300"]) == 2
 

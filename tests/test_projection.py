@@ -152,17 +152,48 @@ def test_convex_target_agrees_with_segment_search(square):
 def test_target_outside_domain_rejected(square):
     with pytest.raises(GeometryError):
         nearest_on_convex(square, np.zeros(2), HPolytope.box([0.5, 0.5], [3.0, 3.0]))
+    with pytest.raises(GeometryError, match="empty"):
+        nearest_on_convex(square, np.zeros(2), HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.2, -0.5]))
 
 
-def test_bisection_brackets_never_cross(square):
-    a_set = HPolytope.box([0.4, -0.3], [0.8, 0.3])
-    trace = []
-    nearest_on_convex(square, np.zeros(2), a_set, trace=trace)
-    assert all(lo < hi for lo, hi in trace)
-    los = [lo for lo, _ in trace]
-    his = [hi for _, hi in trace]
-    assert all(a <= b + 1e-15 for a, b in zip(los, los[1:]))
-    assert all(a >= b - 1e-15 for a, b in zip(his, his[1:]))
+def test_target_leaving_the_domain_slightly_rejected(square):
+    # No vertex data: containment is decided exactly, per domain row.
+    a_set = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                      [1.0001, -0.5, 0.1, 0.1])
+    with pytest.raises(GeometryError, match="not contained"):
+        nearest_on_convex(square, np.zeros(2), a_set)
+
+
+def _scipy_radius(domain, x, a_set):
+    """The smallest forward radius reaching A, by HiGHS on the same LP."""
+    n = domain.dim
+    Ax = domain.A @ x
+    A_ub = np.vstack([np.hstack([domain.A, (Ax - domain.b)[:, None]]),
+                      np.hstack([a_set.A, np.zeros((len(a_set.b), 1))])])
+    res = linprog(np.append(np.zeros(n), 1.0), A_ub=A_ub,
+                  b_ub=np.concatenate([Ax, a_set.b]),
+                  bounds=[(None, None)] * n + [(0.0, 1.0)], method="highs")
+    assert res.status == 0
+    return -math.log1p(-res.x[-1])
+
+
+def test_radius_matches_highs(square, rng):
+    targets = 0
+    while targets < 40:
+        if targets % 2:
+            lo = rng.uniform(-0.6, 0.2, 2)
+            a_set = HPolytope.box(lo, np.minimum(lo + rng.uniform(0.15, 0.5, 2), 0.85))
+        else:
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 5))
+            a_set = HPolytope.from_polygon_vertices(
+                rng.uniform(-0.4, 0.4, 2)
+                + rng.uniform(0.15, 0.35) * np.column_stack([np.cos(angles), np.sin(angles)]))
+        x = rng.uniform(-0.9, 0.9, 2)
+        if a_set.contains(x) >= -0.05:
+            continue
+        targets += 1
+        foot = nearest_on_convex(square, x, a_set)
+        assert foot.distance == pytest.approx(_scipy_radius(square, x, a_set), abs=1e-12)
 
 
 def test_reachability_monotone_in_radius(square):
@@ -202,6 +233,19 @@ def test_certificate_at_a_vertex_hit(square):
                             HPolytope.box([0.6, 0.5], [1.0, 0.9]))
 
 
+def test_certificate_combines_active_normals(square, ball):
+    # The foot (0.5, 0.5) is seen through the corner (1, 1); neither edge
+    # alone separates the origin from A, their sum x1 + x2 does.
+    a_set = HPolytope([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 0.8, 0.8])
+    foot = nearest_on_convex(square, np.zeros(2), a_set)
+    assert foot.point == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert foot.distance == pytest.approx(LOG2, abs=1e-12)
+    assert foot.certificate is not None
+    assert foot_certificate(square, np.zeros(2), [0.5, 0.5], a_set)
+    with pytest.raises(GeometryError, match="polytopal"):
+        foot_certificate(square, np.zeros(2), [0.5, 0.0], ball)
+
+
 def test_zero_distance_certifies_vacuously(half_plane):
     a_set = HPolytope([[0.0, -1.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]],
                       [-0.5, 3.0, 3.0, 0.0])  # {0 <= x1 <= 3, 0.5 <= x2 <= 3}
@@ -225,8 +269,10 @@ def test_perpendicular_square_edge(square):
     plane = LinearForm([1.0, 0.0], 0.0)  # {x1 = 0} through the origin
     assert is_perpendicular(square, [0.0, 0.0], [1.0, 0.0], plane)
     # at a corner, each active edge supports a hyperplane
-    for coeffs in ([1.0, 0.0], [0.0, 1.0]):
+    for coeffs in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, -2.0]):
         assert is_perpendicular(square, [0.0, 0.0], [1.0, 1.0], LinearForm(coeffs, 0.0))
+    # ... and so does every combination of them, but nothing outside their cone
+    assert not is_perpendicular(square, [0.0, 0.0], [1.0, 1.0], LinearForm([1.0, -0.1], 0.0))
     # where an arc meets an edge, the tangent and the edge both do
     both = IntersectionDomain([square, EuclideanBall([0.0, 0.0], 1.25)])
     for coeffs in ([1.0, 0.0], [0.8, 0.6]):
