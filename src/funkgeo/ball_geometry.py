@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import scipy  # the package only; scipy loads .special and .stats on first use
 
 from . import tolerances as tol
 from .convex_core import (
@@ -104,11 +104,10 @@ def sphere_directions(dim: int, k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         dirs[np.abs(dirs) < 1e-15] = 0.0  # exact axis directions
         return dirs
-    from scipy.stats import qmc  # deferred: importing scipy.stats adds ~46 MB
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
+    sampler = scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed)
     dirs = np.empty((0, dim))
     while dirs.shape[0] < k:
-        block = ndtri(sampler.random(2 * k).clip(1e-12, 1 - 1e-12))
+        block = scipy.special.ndtri(sampler.random(2 * k).clip(1e-12, 1 - 1e-12))
         norms = np.linalg.norm(block, axis=1)
         good = block[norms > 1e-8] / norms[norms > 1e-8, None]
         dirs = np.vstack([dirs, good])

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ def as_point(x, dim: int | None = None, name: str = "point") -> Vector:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise GeometryError(f"{name} must be a 1-d coordinate vector")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise GeometryError(f"{name} has a non-finite coordinate")
     if dim is not None and p.size != dim:
         raise GeometryError(f"{name} has dimension {p.size}, expected {dim}")
@@ -118,7 +119,9 @@ class Hit:
 
     @staticmethod
     def finite(point: Vector, t: float) -> "Hit":
-        return Hit(t=float(t), point=_readonly(point))
+        """A finite hit; takes over ``point``, a float array the kernel just made."""
+        point.setflags(write=False)
+        return Hit(t=float(t), point=point)
 
     @staticmethod
     def escaped(direction: Vector) -> "Hit":
@@ -131,10 +134,10 @@ def to_projective(hit: Hit) -> Vector:
     Finite points embed as (p, 1); hits at infinity as (direction, 0).
     """
     if hit.at_infinity:
-        v = np.append(hit.direction, 0.0)
+        v = np.concatenate((hit.direction, (0.0,)))
     else:
-        v = np.append(hit.point, 1.0)
-    return v / np.linalg.norm(v)
+        v = np.concatenate((hit.point, (1.0,)))
+    return v / math.sqrt(v @ v)
 
 
 class ConvexDomain:
@@ -162,7 +165,7 @@ class ConvexDomain:
         if self._margin(x) <= 0.0:
             raise GeometryError("ray origin is not interior to the domain")
         d = y - x
-        if np.linalg.norm(d) <= tol.EPS_PT:
+        if math.sqrt(d @ d) <= tol.EPS_PT:
             raise GeometryError("ray origin and target coincide")
         return self._hit(x, y, d)
 
@@ -293,7 +296,7 @@ class HPolytope(ConvexDomain):
     contains, ray_boundary = ConvexDomain.contains, ConvexDomain.ray_boundary
 
     def _margin(self, x) -> float:
-        return float(np.min(self.b - self.A @ x))
+        return float((self.b - self.A @ x).min())
 
     def _margins(self, X) -> np.ndarray:
         return _row_min(self.b - X @ self.A.T)
@@ -301,12 +304,12 @@ class HPolytope(ConvexDomain):
     def _hit(self, x, y, d) -> Hit:
         deriv = self.A @ d
         # Normalized derivative decides parallel-vs-hit; avoids huge finite t.
-        scaled = deriv / (self._row_norms * np.linalg.norm(d))
+        scaled = deriv / (self._row_norms * math.sqrt(d @ d))
         candidates = scaled > tol.EPS_DIR
-        if not np.any(candidates):
+        if not candidates.any():
             return Hit.escaped(d)
         slack = self.b - self.A @ x
-        t = np.min(slack[candidates] / deriv[candidates])
+        t = (slack[candidates] / deriv[candidates]).min()
         return Hit.finite(x + t * d, t)
 
     def _exits(self, X, Y) -> np.ndarray:
@@ -449,7 +452,8 @@ class EuclideanBall(ConvexDomain):
     contains, ray_boundary = ConvexDomain.contains, ConvexDomain.ray_boundary
 
     def _margin(self, x) -> float:
-        return self.radius - float(np.linalg.norm(x - self.center))
+        w = x - self.center
+        return self.radius - math.sqrt(w @ w)
 
     def _margins(self, X) -> np.ndarray:
         W = X - self.center

@@ -10,6 +10,8 @@ O(t), which :func:`finite_difference_check` measures.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tolerances as tol
@@ -23,7 +25,7 @@ def tangent_norm(domain: ConvexDomain, p, v) -> float:
     if domain._margin(p) <= 0.0:
         raise GeometryError("base point must be interior to the domain")
     v = as_point(v, domain.dim, "vector")
-    if np.linalg.norm(v) <= tol.EPS_PT:
+    if math.sqrt(v @ v) <= tol.EPS_PT:
         return 0.0
     y = p + v
     hit = domain._hit(p, y, y - p)

@@ -17,6 +17,7 @@ non-collinear triples in dimension two and up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,12 @@ def triangle_report(domain: ConvexDomain, x, y, z,
     y = as_point(y, domain.dim, "y")
     z = as_point(z, domain.dim, "z")
     for p, q, name in ((x, y, "x, y"), (y, z, "y, z"), (x, z, "x, z")):
-        if np.linalg.norm(q - p) <= tol.EPS_PT:
+        d = q - p
+        if math.sqrt(d @ d) <= tol.EPS_PT:
             raise GeometryError(f"triangle report needs distinct points ({name} coincide)")
-    for p, name in ((x, "x"), (y, "y"), (z, "y")):  # z is the target of (y, z)
-        _check_interior(domain, p, name)
+    for p, name in ((x, "x"), (y, "y"), (z, "z")):
+        if domain._margin(p) <= 0.0:
+            raise GeometryError(f"{name} is not interior to the domain")
     hits = [domain._hit(p, q, q - p) for p, q in ((x, y), (y, z), (x, z))]
     # Through the module, so the one exit-to-distance conversion is used.
     fxy, fyz, fxz = (metric_engine._from_parameter(h.t) for h in hits)

@@ -32,7 +32,7 @@ from .convex_core import ConvexDomain, EuclideanBall, GeometryError, HPolytope, 
 
 
 def _from_parameter(t: float) -> float:
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         return 0.0
     if t - 1.0 < 1e-16:
         # slack ratio beyond 1e16: the target is on the boundary at double
@@ -52,7 +52,7 @@ def _check_interior(domain: ConvexDomain, p, name: str):
 def _funk(domain: ConvexDomain, x, y) -> float:
     """Funk distance of two validated interior points."""
     d = y - x
-    if np.linalg.norm(d) <= tol.EPS_PT:
+    if math.sqrt(d @ d) <= tol.EPS_PT:
         return 0.0
     return _from_parameter(domain._hit(x, y, d).t)
 
@@ -127,7 +127,7 @@ def relative_funk(omega: ConvexDomain, outer: ConvexDomain | None, x, y) -> floa
     x = _check_interior(domain=omega, p=x, name="x")
     y = _check_interior(domain=omega, p=y, name="y")
     d = y - x
-    if np.linalg.norm(d) <= tol.EPS_PT:
+    if math.sqrt(d @ d) <= tol.EPS_PT:
         return 0.0
     if outer._margin(y) <= 0.0:  # y is the origin of the reverse ray
         raise GeometryError("ray origin is not interior to the domain")

@@ -1,7 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import qmc
+
+import funkgeo
 
 from funkgeo import (
     AffineImage,
@@ -140,6 +148,24 @@ def test_sphere_directions_high_dim_deterministic():
     assert np.array_equal(a, b)
     assert np.linalg.norm(a, axis=1) == pytest.approx(np.ones(32), abs=1e-12)
     assert not np.allclose(a, sphere_directions(4, 32, seed=8))
+
+
+def test_import_loads_the_scipy_package_but_not_its_submodules():
+    code = ("import sys, funkgeo; "
+            "print(*[m in sys.modules for m in ('scipy', 'scipy.special', 'scipy.stats')])")
+    src = str(Path(funkgeo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["True", "False", "False"]
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_sphere_directions_equal_a_direct_halton_and_ndtri_draw(dim):
+    sampler = qmc.Halton(d=dim, scramble=True, seed=7)
+    block = ndtri(sampler.random(2 * 64).clip(1e-12, 1 - 1e-12))
+    direct = (block / np.linalg.norm(block, axis=1)[:, None])[:64]
+    assert np.array_equal(sphere_directions(dim, 64, seed=7), direct)
 
 
 def test_sandwich_square_center(square):

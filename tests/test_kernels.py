@@ -227,7 +227,7 @@ MESSAGES = [  # (function, arguments after the domain, message), on every kind
     (tangent_norm, (IN, DIM3), "vector has dimension 3, expected 2"),
     (triangle_report, (OUT, IN2, IN3), "x is not interior to the domain"),
     (triangle_report, (IN, OUT, IN3), "y is not interior to the domain"),
-    (triangle_report, (IN, IN2, OUT), "y is not interior to the domain"),
+    (triangle_report, (IN, IN2, OUT), "z is not interior to the domain"),
     (triangle_report, (IN, IN2, NAN), "z has a non-finite coordinate"),
     (triangle_report, (IN, DIM3, IN3), "y has dimension 3, expected 2"),
     (triangle_report, (IN, IN, IN3), "triangle report needs distinct points (x, y coincide)"),

@@ -13,9 +13,13 @@ per workload and metric, the median and quartiles of each side, the ratio
 of the medians, the pairs the head won, and whether the head's median is
 better than the base's by more than the base's interquartile range.  One
 traced run per side and workload (``--trace 1``, seed of the first pair)
-adds the per-layer metrics, which show where a saving comes from.  The JSON
-also records the ``src/`` line count of each side, a hash of the files each
-side runs (so an uncommitted tree is identified too) and the versions used.
+adds the per-layer metrics, which show where a saving comes from.  A
+``tier1`` row runs the tier-1 tests (``python3 -m pytest -q
+--continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) on both
+sides in ten alternating pairs too, and records their wall time and their
+counts of passed and failed tests.  The JSON also records the ``src/`` line
+count of each side, a hash of the files each side runs (so an uncommitted
+tree is identified too) and the versions used.
 """
 
 from __future__ import annotations
@@ -23,12 +27,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 PAIRS = 10
 SECONDS = 25  # BENCHMARK.json's run_seconds
@@ -47,6 +55,50 @@ def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     result = json.loads(lines[-1])
     result["exit_code"] = proc.returncode
     return result
+
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 run: its wall time and the counts of its summary line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
+    wall = time.perf_counter() - t0
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|error)", last)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
+
+
+def compare(base_vals: list[float], head_vals: list[float], better: str | None) -> dict:
+    """Both sides' summaries, the ratio of medians, pairs won and the IQR test."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base_vals, head_vals))
+    base, head = summary(base_vals), summary(head_vals)
+    return {
+        "better": better,
+        "base": base,
+        "head": head,
+        "head_over_base": head["median"] / base["median"],
+        "head_wins": int(wins),
+        "gain_beyond_base_iqr": bool(
+            sign * (head["median"] - base["median"]) > base["q3"] - base["q1"]),
+    }
+
+
+def alternating(sides: dict, call, label: str, show=lambda r: r) -> dict:
+    """``call(checkout, i)`` for each of the pairs, the order alternating inside a pair."""
+    runs = {"base": [], "head": []}
+    for i in range(PAIRS):
+        for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+            r = call(sides[side], i)
+            runs[side].append(r)
+            print(label, i, side, show(r), file=sys.stderr, flush=True)
+    return runs
 
 
 def src_lines(checkout: Path) -> int:
@@ -90,36 +142,19 @@ def main(argv=None) -> int:
         "seeds": [args.seed + i for i in range(PAIRS)],
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "machine": f"{platform.machine()}, {platform.processor() or 'unknown cpu'}",
         "tree_sha256": {k: tree_hash(v) for k, v in sides.items()},
         "src_lines": {k: src_lines(v) for k, v in sides.items()},
         "workloads": {},
     }
     for workload in workloads:
-        runs = {"base": [], "head": []}
-        for i in range(PAIRS):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for side in order:
-                r = run(sides[side], workload, args.seed + i)
-                runs[side].append(r)
-                print(workload, i, side, r["correct"],
-                      {k: round(v["value"], 4) for k, v in r["metrics"].items()},
-                      file=sys.stderr, flush=True)
-        metrics = {}
-        for name in runs["base"][0]["metrics"]:
-            vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
-            sign = 1.0 if better.get(name) == "higher" else -1.0
-            wins = sum(sign * (h - b) > 0 for b, h in zip(vals["base"], vals["head"]))
-            base, head = summary(vals["base"]), summary(vals["head"])
-            metrics[name] = {
-                "better": better.get(name),
-                "base": base,
-                "head": head,
-                "head_over_base": head["median"] / base["median"],
-                "head_wins": int(wins),
-                "gain_beyond_base_iqr": bool(
-                    sign * (head["median"] - base["median"]) > base["q3"] - base["q1"]),
-            }
+        runs = alternating(
+            sides, lambda c, i: run(c, workload, args.seed + i), workload,
+            lambda r: (r["correct"], {k: round(v["value"], 4) for k, v in r["metrics"].items()}))
+        metrics = {name: compare(*([r["metrics"][name]["value"] for r in runs[s]]
+                                   for s in ("base", "head")), better.get(name))
+                   for name in runs["base"][0]["metrics"]}
         traced = {s: run(sides[s], workload, args.seed, trace=1)
                   for s in sides}
         report["workloads"][workload] = {
@@ -131,6 +166,14 @@ def main(argv=None) -> int:
             "per_layer": {name: {s: traced[s]["metrics"][name]["value"] for s in sides}
                           for name in traced["base"]["metrics"]},
         }
+    tier1 = alternating(sides, lambda c, i: run_tier1(c), "tier1")
+    report["tier1"] = {
+        "command": "PYTHONPATH=src python3 -m pytest -q --continue-on-collection-errors",
+        "wall_s": compare(*([r["wall_s"] for r in tier1[s]] for s in ("base", "head")),
+                          "lower"),
+        "passed": {s: [r["passed"] for r in tier1[s]] for s in tier1},
+        "failed": {s: [r["failed"] for r in tier1[s]] for s in tier1},
+    }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
