@@ -145,8 +145,12 @@ class ConvexDomain:
 
     Each kind implements the unchecked kernels below, scalar and row ones
     side by side; they trust their inputs, and the public functions
-    validate each input once.  Each kind also binds ``contains`` and
-    ``ray_boundary`` in its own body, where perfbench's tracer wraps them.
+    validate each input once.  The scalar ray kernel ``_exit`` gives only
+    the exit parameter, which is all a distance needs; ``_line`` gives the
+    exits of both rays along one line, and ``_hit`` builds a :class:`Hit`
+    with its boundary point for the callers that need the point.  Each
+    kind also binds ``contains`` and ``ray_boundary`` in its own body,
+    where perfbench's tracer wraps them.
     """
 
     dim: int
@@ -219,8 +223,19 @@ class ConvexDomain:
     def _margin(self, x) -> float:
         raise NotImplementedError
 
-    def _hit(self, x, y, d) -> Hit:
+    def _exit(self, x, y, d) -> float:
+        """Exit parameter of the ray from x along d = y - x; ``inf`` if it never leaves."""
         raise NotImplementedError
+
+    def _line(self, x, y, d) -> tuple[float, float]:
+        """Exit parameters of the rays x -> y and y -> x along one line."""
+        return self._exit(x, y, d), self._exit(y, x, -d)
+
+    def _hit(self, x, y, d) -> Hit:
+        t = self._exit(x, y, d)
+        if t == math.inf:
+            return Hit.escaped(d)
+        return Hit.finite(x + t * d, t)
 
     def _margins(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -301,16 +316,24 @@ class HPolytope(ConvexDomain):
     def _margins(self, X) -> np.ndarray:
         return _row_min(self.b - X @ self.A.T)
 
-    def _hit(self, x, y, d) -> Hit:
+    def _exit(self, x, y, d) -> float:
         deriv = self.A @ d
         # Normalized derivative decides parallel-vs-hit; avoids huge finite t.
         scaled = deriv / (self._row_norms * math.sqrt(d @ d))
-        candidates = scaled > tol.EPS_DIR
+        return self._first_exit(x, deriv, scaled > tol.EPS_DIR)
+
+    def _line(self, x, y, d) -> tuple[float, float]:
+        # The reverse ray's derivative is -deriv, bitwise A @ (-d).
+        deriv = self.A @ d
+        scaled = deriv / (self._row_norms * math.sqrt(d @ d))
+        return (self._first_exit(x, deriv, scaled > tol.EPS_DIR),
+                self._first_exit(y, -deriv, scaled < -tol.EPS_DIR))
+
+    def _first_exit(self, x, deriv, candidates) -> float:
         if not candidates.any():
-            return Hit.escaped(d)
+            return math.inf
         slack = self.b - self.A @ x
-        t = (slack[candidates] / deriv[candidates]).min()
-        return Hit.finite(x + t * d, t)
+        return float((slack[candidates] / deriv[candidates]).min())
 
     def _exits(self, X, Y) -> np.ndarray:
         slack = self.b - X @ self.A.T  # (m, k)
@@ -459,23 +482,29 @@ class EuclideanBall(ConvexDomain):
         W = X - self.center
         return self.radius - np.sqrt(_rowdot(W, W))
 
-    def _hit(self, x, y, d) -> Hit:
+    def _exit(self, x, y, d) -> float:
         w = x - self.center
+        return self._root(float(d @ d), float(d @ w), w)
+
+    def _line(self, x, y, d) -> tuple[float, float]:
+        # The reverse ray shares alpha; its beta is -(d @ w), bitwise (-d) @ w.
         alpha = float(d @ d)
-        beta = float(d @ w)
-        gamma = float(w @ w) - self.radius ** 2  # < 0: x interior
+        wx, wy = x - self.center, y - self.center
+        return self._root(alpha, float(d @ wx), wx), self._root(alpha, -float(d @ wy), wy)
+
+    def _root(self, alpha, beta, w) -> float:
+        gamma = float(w @ w) - self.radius ** 2  # < 0: ray origin interior
         disc = beta * beta - alpha * gamma
         root = np.sqrt(disc)
         # Stable positive quadratic root (avoid cancellation when beta > 0).
-        t = (-gamma) / (beta + root) if beta > 0.0 else (root - beta) / alpha
-        return Hit.finite(x + t * d, t)
+        return float((-gamma) / (beta + root) if beta > 0.0 else (root - beta) / alpha)
 
     def _exits(self, X, Y) -> np.ndarray:
         W = X - self.center
         D = Y - X
         alpha, beta, ww = _rowdot(D, D), _rowdot(D, W), _rowdot(W, W)
         gamma = ww - self.radius ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             root = np.sqrt(beta * beta - alpha * gamma)
             t = np.where(beta > 0.0, -gamma / (beta + root), (root - beta) / alpha)
         t = np.where(alpha > 0.0, t, np.inf)
@@ -578,6 +607,14 @@ class AffineImage(ConvexDomain):
         # The ray parameter is an affine ratio, hence shared by both charts.
         return Hit.finite(self.map(hit.point), hit.t)
 
+    def _exit(self, x, y, d) -> float:
+        x, y = self.map.invert(x), self.map.invert(y)
+        return self.inner._exit(x, y, y - x)
+
+    def _line(self, x, y, d) -> tuple[float, float]:
+        x, y = self.map.invert(x), self.map.invert(y)
+        return self.inner._line(x, y, y - x)
+
     def _exits(self, X, Y) -> np.ndarray:
         return self.inner._exits(self.map.invert(X), self.map.invert(Y))
 
@@ -637,6 +674,13 @@ class IntersectionDomain(ConvexDomain):
         if best is None:
             return Hit.escaped(d)
         return best
+
+    def _exit(self, x, y, d) -> float:
+        return min(p._exit(x, y, d) for p in self.parts)
+
+    def _line(self, x, y, d) -> tuple[float, float]:
+        forward, backward = zip(*(p._line(x, y, d) for p in self.parts))
+        return min(forward), min(backward)
 
     def _exits(self, X, Y) -> np.ndarray:
         return np.min([p._exits(X, Y) for p in self.parts], axis=0)

@@ -28,10 +28,8 @@ def tangent_norm(domain: ConvexDomain, p, v) -> float:
     if math.sqrt(v @ v) <= tol.EPS_PT:
         return 0.0
     y = p + v
-    hit = domain._hit(p, y, y - p)
-    if hit.at_infinity:
-        return 0.0
-    return 1.0 / hit.t
+    t = domain._exit(p, y, y - p)
+    return 0.0 if t == math.inf else 1.0 / t
 
 
 def tangent_distance(domain: ConvexDomain, p, x, y) -> float:

@@ -21,6 +21,7 @@ rays agree with the at-infinity classification.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -54,12 +55,22 @@ def _funk(domain: ConvexDomain, x, y) -> float:
     d = y - x
     if math.sqrt(d @ d) <= tol.EPS_PT:
         return 0.0
-    return _from_parameter(domain._hit(x, y, d).t)
+    return _from_parameter(domain._exit(x, y, d))
+
+
+def _both_ways(domain: ConvexDomain, x, y) -> tuple[float, float]:
+    """F(x, y) and F(y, x) of two validated interior points, from one line cast."""
+    d = y - x
+    if math.sqrt(d @ d) <= tol.EPS_PT:
+        return 0.0, 0.0
+    t_fwd, t_back = domain._line(x, y, d)
+    return _from_parameter(t_fwd), _from_parameter(t_back)
 
 
 def _hilbert(domain: ConvexDomain, x, y) -> float:
     """Hilbert distance of two validated interior points."""
-    return 0.5 * (_funk(domain, x, y) + _funk(domain, y, x))
+    fxy, fyx = _both_ways(domain, x, y)
+    return 0.5 * (fxy + fyx)
 
 
 def funk(domain: ConvexDomain, x, y) -> float:
@@ -86,8 +97,7 @@ def hilbert(domain: ConvexDomain, x, y) -> float:
 def max_symmetrized(domain: ConvexDomain, x, y) -> float:
     """Max-symmetrization of the Funk distance."""
     x = _check_interior(domain, x, "x")
-    y = _check_interior(domain, y, "y")
-    return max(_funk(domain, x, y), _funk(domain, y, x))
+    return max(_both_ways(domain, x, _check_interior(domain, y, "y")))
 
 
 # Containment of omega in the englobing domain is validated by sampling the
@@ -131,8 +141,7 @@ def relative_funk(omega: ConvexDomain, outer: ConvexDomain | None, x, y) -> floa
         return 0.0
     if outer._margin(y) <= 0.0:  # y is the origin of the reverse ray
         raise GeometryError("ray origin is not interior to the domain")
-    value = _from_parameter(omega._hit(x, y, d).t) \
-        + _from_parameter(outer._hit(y, x, -d).t)
+    value = _from_parameter(omega._exit(x, y, d)) + _from_parameter(outer._exit(y, x, -d))
     return 0.0 if value < tol.F_CLAMP else value
 
 
@@ -253,14 +262,20 @@ def funk_batch(domain: ConvexDomain, X, Y) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape != Y.shape or X.shape[1] != domain.dim:
         raise GeometryError("point arrays must be (m, dim) and congruent")
-    t = domain._exits(X, Y)
-    if not np.all(t > 1.0):  # a point is not interior, or a target is on the boundary
+    # A non-finite row is not interior; the kernels would warn at its inf * 0.
+    t = None
+    if np.isfinite(X).all() and np.isfinite(Y).all():
+        t = domain._exits(X, Y)
+    if t is None or not np.all(t > 1.0):  # a point not interior, or a target on the boundary
         if not isinstance(domain, (HPolytope, EuclideanBall)):
             # Composed kinds answer as the per-pair funk does, message included.
             return np.array([funk(domain, x, y) for x, y in zip(X, Y)])
-        if not np.all(domain._margins(np.vstack([X, Y])) > 0.0):
+        if t is None or not np.all(domain._margins(np.vstack([X, Y])) > 0.0):
             raise GeometryError("all points must be interior to the domain")
-    return _batch_from_parameters(t, np.linalg.norm(Y - X, axis=1))
+    # Column by column, as _row_min: the sums np.linalg.norm(Y - X, axis=1) makes
+    # for fewer than 8 columns, without its slow loop over short rows.
+    D = Y - X
+    return _batch_from_parameters(t, np.sqrt(functools.reduce(np.add, (D * D).T)))
 
 
 def _batch_from_parameters(t: np.ndarray, lengths: np.ndarray) -> np.ndarray:

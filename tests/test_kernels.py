@@ -1,14 +1,17 @@
 """The unchecked per-kind kernels and the single validation in front of them.
 
-Every domain kind has scalar kernels (``_margin``, ``_hit``) and row
-kernels (``_margins``, ``_exits``).  The public functions validate their
-inputs once and then call only kernels; these tests pin the agreement of
-the two kernel sets, the error messages of the public functions, and the
-random streams of the samplers built on the row kernels.
+Every domain kind has scalar kernels (``_margin``, ``_exit``, ``_line``)
+and row kernels (``_margins``, ``_exits``); ``_hit`` builds a boundary
+point from ``_exit`` for the callers that need one.  The public functions
+validate their inputs once and then call only kernels; these tests pin the
+agreement of the kernels, the number of casts per query, the error
+messages of the public functions, and the random streams of the samplers
+built on the row kernels.
 """
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -183,19 +186,92 @@ def _count_calls(monkeypatch, cls, name):
 
 
 def test_queries_validate_once_and_cast_once_per_exit(monkeypatch):
-    margins = _count_calls(monkeypatch, HPolytope, "_margin")
-    hits = _count_calls(monkeypatch, HPolytope, "_hit")
-    contains = _count_calls(monkeypatch, HPolytope, "contains")
     x, y, z = [0.1, 0.0], [0.2, 0.3], [-0.3, 0.1]
-    for call, casts in ((lambda: funk(SQUARE, x, y), 1),
-                        (lambda: hilbert(SQUARE, x, y), 2),
-                        (lambda: triangle_report(SQUARE, x, y, z), 3)):
-        margins.clear()
-        hits.clear()
-        call()
-        assert len(hits) == casts
-        assert len(margins) <= 3
-    assert not contains
+    relative_funk(SQUARE, OUTER, x, y)  # the containment verdict is cached from here on
+    calls = {name: _count_calls(monkeypatch, HPolytope, name)
+             for name in ("_margin", "_exit", "_line", "_hit", "contains")}
+    # (query, _exit, _line, _hit): distances read exit parameters only, and
+    # the two exits of one line come from one two-sided cast.
+    for query, exits, lines, hits in (
+            (lambda: funk(SQUARE, x, y), 1, 0, 0),
+            (lambda: reverse_funk(SQUARE, x, y), 1, 0, 0),
+            (lambda: tangent_norm(SQUARE, x, y), 1, 0, 0),
+            (lambda: relative_funk(SQUARE, OUTER, x, y), 2, 0, 0),
+            (lambda: hilbert(SQUARE, x, y), 0, 1, 0),
+            (lambda: max_symmetrized(SQUARE, x, y), 0, 1, 0),
+            (lambda: triangle_report(SQUARE, x, y, z), 3, 0, 3)):
+        for counted in calls.values():
+            counted.clear()
+        query()
+        assert (len(calls["_exit"]), len(calls["_line"]), len(calls["_hit"])) \
+            == (exits, lines, hits)
+        assert len(calls["_margin"]) <= 3
+        assert not calls["contains"]
+
+
+# --- a two-sided cast gives the bits of two one-sided ones ------------------------
+
+LINE_DOMAINS = {
+    **KINDS,
+    # {x1 > -1, x2 > -1}: rays into the positive quadrant never leave
+    "unbounded": HPolytope([[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0], witness=[0.0, 0.0]),
+    # {x2 > 0}: a line of constant x2 never leaves on either side
+    "half_plane": HPolytope([[0.0, -1.0]], [0.0], witness=[0.0, 1.0]),
+    "intersection_with_image": IntersectionDomain(
+        [KINDS["affine_image"], EuclideanBall([0.5, -0.25], 1.5)], witness=[0.25, -0.5]),
+}
+
+# Where a point sits on the ray from the base point at an angle: a fraction
+# of the way to the boundary, or a gap of at most 1e-7 short of it.  Rays
+# that never leave are cut at length 4.
+places = st.tuples(st.floats(0.0, 2.0 * math.pi),
+                   st.one_of(st.tuples(st.just("fraction"), st.floats(0.0, 0.995)),
+                             st.tuples(st.just("gap"), st.floats(1e-12, 1e-7))))
+
+
+def _place(domain, place):
+    angle, (how, amount) = place
+    p = domain.base_point()
+    u = np.array([math.cos(angle), math.sin(angle)])
+    t = min(domain.ray_boundary(p, p + u).t, 4.0)
+    return p + (t * amount if how == "fraction" else t - amount) * u
+
+
+def _from_one_sided_casts(domain, x, y, combine):
+    x = metric_engine._check_interior(domain, x, "x")
+    y = metric_engine._check_interior(domain, y, "y")
+    return combine(metric_engine._funk(domain, x, y), metric_engine._funk(domain, y, x))
+
+
+def _bits(call):
+    answer = _answer(call)
+    return answer if isinstance(answer, str) else float.hex(answer)
+
+
+@pytest.mark.parametrize("kind", LINE_DOMAINS)
+@settings(max_examples=80, deadline=None)
+@given(place=places, target=st.one_of(places.map(lambda p: ("place", p)),
+                                      st.floats(-3.0, 3.0).map(lambda s: ("along_e1", s))))
+def test_two_sided_cast_matches_two_one_sided_casts(kind, place, target):
+    domain = LINE_DOMAINS[kind]
+    x = _place(domain, place)
+    how, what = target
+    # Along e1 the line is parallel to the half-plane's edge.
+    y = _place(domain, what) if how == "place" else x + np.array([what, 0.0])
+    for public, combine in ((hilbert, lambda a, b: 0.5 * (a + b)), (max_symmetrized, max)):
+        assert _bits(lambda: public(domain, x, y)) == \
+            _bits(lambda: _from_one_sided_casts(domain, x, y, combine))
+
+
+def test_line_parallel_to_a_half_plane_edge_escapes_on_both_sides():
+    half_plane = LINE_DOMAINS["half_plane"]
+    x, y = np.array([0.5, 2.0]), np.array([-1.5, 2.0])
+    assert half_plane._line(x, y, y - x) == (math.inf, math.inf)
+    assert hilbert(half_plane, x, y) == max_symmetrized(half_plane, x, y) == 0.0
+    wedge = LINE_DOMAINS["unbounded"]
+    x, y = np.array([0.5, 0.5]), np.array([1.5, 2.0])
+    t_fwd, t_back = wedge._line(x, y, y - x)
+    assert t_fwd == math.inf and 1.0 < t_back < math.inf
 
 
 # --- the same messages as the per-pair code ------------------------------------------
@@ -258,12 +334,33 @@ BATCH_MESSAGES = [  # (X, Y, message of a composed kind)
 @pytest.mark.parametrize("X, Y, composed_message", BATCH_MESSAGES)
 def test_funk_batch_keeps_its_messages(kind, X, Y, composed_message):
     # Primitive kinds report the whole batch; composed kinds name the first
-    # offending pair.  A non-finite row is not interior on any kind.
+    # offending pair.  A non-finite row is not interior on any kind, and is
+    # rejected before a kernel computes with it, so numpy does not warn.
     message = composed_message if kind in COMPOSED else \
         "all points must be interior to the domain"
-    with pytest.raises(GeometryError) as err:
+    with warnings.catch_warnings(), pytest.raises(GeometryError) as err:
+        warnings.simplefilter("error")
         funk_batch(KINDS[kind], X, Y)
     assert str(err.value) == message
+
+
+def test_funk_batch_rejects_a_non_finite_row_its_slacks_call_interior():
+    # In {x1 < 1} the slack of (-inf, 0) is +inf, which reads as interior.
+    half_plane = HPolytope([[1.0, 0.0]], [1.0], witness=[0.0, 0.0])
+    with pytest.raises(GeometryError, match="all points must be interior"):
+        funk_batch(half_plane, [[-np.inf, 0.0]], [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_funk_batch_on_nearly_coincident_rows_is_zero_without_warnings(kind):
+    # Rows 1e-309 apart: the squared gap underflows to 0, and the ball's
+    # quadratic divides by a subnormal.
+    X = np.array([[0.0, 0.0], [0.1, 0.0]])
+    Y = X + np.array([[-1e-309, 0.0], [0.0, 1e-309]])
+    assert np.all(np.any(Y != X, axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(funk_batch(KINDS[kind], X, Y) == 0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
