@@ -229,7 +229,7 @@ class ConvexDomain:
 
     def _line(self, x, y, d) -> tuple[float, float]:
         """Exit parameters of the rays x -> y and y -> x along one line."""
-        return self._exit(x, y, d), self._exit(y, x, -d)
+        raise NotImplementedError
 
     def _hit(self, x, y, d) -> Hit:
         t = self._exit(x, y, d)

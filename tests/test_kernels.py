@@ -50,15 +50,22 @@ COMPOSED = ("affine_image", "intersection")
 
 coords = st.floats(-2.5, 2.5, allow_nan=False)
 points = st.tuples(coords, coords).map(np.array)
-polar = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.995))
+angles = st.floats(0.0, 2.0 * math.pi)
+polar = st.tuples(angles, st.floats(0.0, 0.995))
+# The same ray, but a gap of at most 1e-7 short of the boundary.
+polar_near_boundary = st.tuples(angles, st.floats(1e-12, 1e-7).map(lambda gap: ("gap", gap)))
 
 
-def _interior(domain, angle_and_fraction):
-    """The point that fraction of the way from the base point to the boundary."""
-    angle, fraction = angle_and_fraction
+def _interior(domain, angle_and_place):
+    """The point a fraction of the way from the base point to the boundary, or
+    a ("gap", g) short of it.  Rays that never leave are cut at length 4."""
+    angle, place = angle_and_place
     p = domain.base_point()
     u = np.array([math.cos(angle), math.sin(angle)])
-    return p + fraction * domain.ray_boundary(p, p + u).t * u
+    t = min(domain.ray_boundary(p, p + u).t, 4.0)
+    if isinstance(place, tuple):
+        return p + (t - place[1]) * u
+    return p + place * t * u
 
 
 def _close(a, b, rel=1e-12):
@@ -220,21 +227,7 @@ LINE_DOMAINS = {
     "intersection_with_image": IntersectionDomain(
         [KINDS["affine_image"], EuclideanBall([0.5, -0.25], 1.5)], witness=[0.25, -0.5]),
 }
-
-# Where a point sits on the ray from the base point at an angle: a fraction
-# of the way to the boundary, or a gap of at most 1e-7 short of it.  Rays
-# that never leave are cut at length 4.
-places = st.tuples(st.floats(0.0, 2.0 * math.pi),
-                   st.one_of(st.tuples(st.just("fraction"), st.floats(0.0, 0.995)),
-                             st.tuples(st.just("gap"), st.floats(1e-12, 1e-7))))
-
-
-def _place(domain, place):
-    angle, (how, amount) = place
-    p = domain.base_point()
-    u = np.array([math.cos(angle), math.sin(angle)])
-    t = min(domain.ray_boundary(p, p + u).t, 4.0)
-    return p + (t * amount if how == "fraction" else t - amount) * u
+places = st.one_of(polar, polar_near_boundary)
 
 
 def _from_one_sided_casts(domain, x, y, combine):
@@ -254,10 +247,10 @@ def _bits(call):
                                       st.floats(-3.0, 3.0).map(lambda s: ("along_e1", s))))
 def test_two_sided_cast_matches_two_one_sided_casts(kind, place, target):
     domain = LINE_DOMAINS[kind]
-    x = _place(domain, place)
+    x = _interior(domain, place)
     how, what = target
     # Along e1 the line is parallel to the half-plane's edge.
-    y = _place(domain, what) if how == "place" else x + np.array([what, 0.0])
+    y = _interior(domain, what) if how == "place" else x + np.array([what, 0.0])
     for public, combine in ((hilbert, lambda a, b: 0.5 * (a + b)), (max_symmetrized, max)):
         assert _bits(lambda: public(domain, x, y)) == \
             _bits(lambda: _from_one_sided_casts(domain, x, y, combine))

@@ -2,23 +2,21 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/scalar_costs.py [--repeat 20] [--number 1000]
+    PYTHONPATH=src python3 tools/scalar_costs.py
 
 Prints one row per call and one column per kind (a square, a disk, an
 affine image of the square, the square intersected with a disk): the
-fastest of ``--repeat`` timings of ``--number`` calls, in µs per call.
+fastest of ``REPEAT`` timings of ``NUMBER`` calls, in µs per call.
 Each round times every cell once, so a slow phase of a shared host falls
 on all cells alike instead of on the few timed during it.
 The kernel rows time the unchecked kernels on the same validated points:
-``_exit`` (one ray), ``_line`` (both rays along one line), the base
-class's ``_line`` (two ``_exit`` calls) run on the same kind, which
-decides whether a kind's own ``_line`` earns its place, and the row
-kernel ``_exits`` given a single row.
+``_exit`` (one ray), ``_line`` (both rays along one line), two ``_exit``
+calls along the same line, which decides whether a kind's own ``_line``
+earns its place, and the row kernel ``_exits`` given a single row.
 """
 
 from __future__ import annotations
 
-import argparse
 import platform
 import sys
 import timeit
@@ -26,8 +24,6 @@ import timeit
 import numpy as np
 
 import funkgeo as fg
-from funkgeo.convex_core import ConvexDomain
-
 SQUARE = fg.HPolytope.box([-1.0, -1.0], [1.0, 1.0])
 KINDS = {
     "hpolytope": SQUARE,
@@ -39,6 +35,7 @@ KINDS = {
 }
 OUTER = fg.HPolytope.box([-4.0, -4.0], [4.0, 4.0])
 X, Y, Z = [0.1, 0.0], [0.2, 0.3], [-0.3, 0.1]
+REPEAT, NUMBER = 40, 500  # timings per cell, calls per timing
 
 
 def calls(domain) -> dict:
@@ -58,28 +55,23 @@ def calls(domain) -> dict:
         "triangle_report": lambda: fg.triangle_report(domain, X, Y, Z),
         "_exit": lambda: domain._exit(x, y, d),
         "_line": lambda: domain._line(x, y, d),
-        "_line, base default": lambda: ConvexDomain._line(domain, x, y, d),
+        "two _exit calls": lambda: (domain._exit(x, y, d), domain._exit(y, x, -d)),
         "_exits, one row": lambda: domain._exits(rows_x, rows_y),
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=20, help="timings per cell")
-    ap.add_argument("--number", type=int, default=1000, help="calls per timing")
-    args = ap.parse_args(argv)
-
+def main() -> int:
     cells = {(kind, name): call for kind, domain in KINDS.items()
              for name, call in calls(domain).items()}
     for call in cells.values():
         call()  # warm caches, e.g. relative_funk's containment verdict
     best = dict.fromkeys(cells, float("inf"))
-    for _ in range(args.repeat):
+    for _ in range(REPEAT):
         for cell, call in cells.items():
-            best[cell] = min(best[cell], timeit.timeit(call, number=args.number))
-    table = {kind: {name: best[kind, name] / args.number * 1e6 for name in calls(domain)}
+            best[cell] = min(best[cell], timeit.timeit(call, number=NUMBER))
+    table = {kind: {name: best[kind, name] / NUMBER * 1e6 for name in calls(domain)}
              for kind, domain in KINDS.items()}
-    print(f"# µs per call, fastest of {args.repeat} timings of {args.number} calls; "
+    print(f"# µs per call, fastest of {REPEAT} timings of {NUMBER} calls; "
           f"Python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}")
     names = list(next(iter(table.values())))
