@@ -20,9 +20,10 @@ UNBOUNDED = "unbounded"
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0.0:
-            T[i] -= T[i, col] * T[row]
+    # Rows with a zero in the pivot column keep their bits, signed zeros included.
+    rows = np.abs(T[:, col]) > 0.0
+    rows[row] = False
+    T[rows] -= T[rows, col, None] * T[row]
     basis[row] = col
 
 

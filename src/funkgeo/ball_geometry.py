@@ -117,8 +117,9 @@ def sphere_directions(dim: int, k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 def sphere_sample(ball: MetricBall, k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """k points on the boundary of the realized ball, by ray casting.
 
-    Deterministic for a given seed.  Directions along which the realized
-    set is unbounded are skipped and replaced from the direction stream.
+    Deterministic for a given seed.  Each batch of directions is cast with
+    one call of the row kernel; directions along which the realized set is
+    unbounded are skipped and replaced from the direction stream.
     """
     if k < 3:
         raise GeometryError("at least 3 sphere samples are required")
@@ -127,13 +128,11 @@ def sphere_sample(ball: MetricBall, k: int, seed: int = DEFAULT_SEED) -> np.ndar
     for batch in range(17):
         count = k * (2 ** batch)
         dirs = sphere_directions(dim, count, seed if dim == 2 else seed + batch)
-        out = []
-        for u in dirs:
-            hit = ball.realized.ray_boundary(center, center + u)
-            if not hit.at_infinity:
-                out.append(hit.point)
-                if len(out) == k:
-                    return np.array(out)
+        targets = center + dirs
+        t = ball.realized._exits(np.broadcast_to(center, dirs.shape), targets)
+        finite = np.flatnonzero(np.isfinite(t))[:k]
+        if finite.size == k:  # the exit x + t*d of the first k finite rows
+            return center + t[finite, None] * (targets[finite] - center)
     raise GeometryError("could not find enough finite boundary directions")
 
 

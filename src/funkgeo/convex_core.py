@@ -75,6 +75,12 @@ def _row_min(S: np.ndarray) -> np.ndarray:
     return functools.reduce(np.minimum, S.T)
 
 
+def _row_lengths(D: np.ndarray) -> np.ndarray:
+    # Column by column, as _row_min: the sums np.linalg.norm(D, axis=1) makes
+    # for fewer than 8 columns, without its slow loop over short rows.
+    return np.sqrt(functools.reduce(np.add, (D * D).T))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -339,7 +345,7 @@ class HPolytope(ConvexDomain):
         slack = self.b - X @ self.A.T  # (m, k)
         D = Y - X
         deriv = D @ self.A.T
-        lengths = np.maximum(np.linalg.norm(D, axis=1), tol.EPS_PT)
+        lengths = np.maximum(_row_lengths(D), tol.EPS_PT)
         hits = deriv / (self._row_norms * lengths[:, None]) > tol.EPS_DIR
         t = _row_min(np.where(hits, slack / np.where(hits, deriv, 1.0), np.inf))
         t = np.where(_row_min(self.b - Y @ self.A.T) > 0.0, t, np.minimum(t, 1.0))

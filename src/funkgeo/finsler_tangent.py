@@ -65,13 +65,15 @@ def finite_difference_check(domain: ConvexDomain, p, x, y, t_list
 
 
 def convergence_order(rows) -> float:
-    """Log-log slope of error against step size.
+    """Log-log slope of error against step size, over the smallest steps.
 
-    Rows with error at the noise floor are dropped; if fewer than two
-    informative rows remain the quotients already sit on the limit and
+    Rows with error at the noise floor are dropped, and the slope is fitted
+    over the three smallest remaining steps, where the error is asymptotic:
+    at larger steps it may still change sign or level off.  If fewer than
+    two informative rows remain the quotients already sit on the limit and
     the order is reported as ``inf``.
     """
-    pts = [(t, e) for t, _, e in rows if e > 1e-14]
+    pts = sorted((t, e) for t, _, e in rows if e > 1e-14)[:3]
     if len(pts) < 2:
         return float("inf")
     ts = np.log([t for t, _ in pts])

@@ -77,14 +77,12 @@ class Foot:
     param: float | None = None  # segment parameter, when applicable
 
 
-def nearest_on_segment(domain: ConvexDomain, x, seg, t0: float | None = None
-                       ) -> Foot:
+def nearest_on_segment(domain: ConvexDomain, x, seg) -> Foot:
     """Foot of x on a segment inside the domain.
 
     ``seg`` is a pair of interior endpoints.  The one-variable distance
     is quasi-convex; flat minima (ties) return the plateau midpoint, so
-    the answer is deterministic.  ``t0`` optionally splits the initial
-    interval — the result does not depend on it.
+    the answer is deterministic.
     """
     x = as_point(x, domain.dim, "x")
     if domain.contains(x) <= 0.0:
@@ -98,12 +96,7 @@ def nearest_on_segment(domain: ConvexDomain, x, seg, t0: float | None = None
         return funk(domain, x, p + t * (q - p))
 
     tol_t = 1e-12
-    if t0 is not None and 0.0 < t0 < 1.0:
-        t_left = _golden_min(g, 0.0, t0, tol_t)
-        t_right = _golden_min(g, t0, 1.0, tol_t)
-        t_hat = t_left if g(t_left) <= g(t_right) else t_right
-    else:
-        t_hat = _golden_min(g, 0.0, 1.0, tol_t)
+    t_hat = _golden_min(g, 0.0, 1.0, tol_t)
 
     # Flat-minimum handling: midpoint of the sublevel interval at the minimum.
     v = g(t_hat)

@@ -914,23 +914,27 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
     square = unit_square()
     ball = unit_ball()
 
-    restarts = cfg.count("projection.restarts", 100)
+    # The foot is optimal against a dense grid of F along the segment, and every
+    # grid point within 1e-9 of its distance or of the grid minimum lies within
+    # one step of it: the ball has one minimiser.
     configs = cfg.count("projection.configs", 4)
-    worst_spread = 0.0
+    grid = np.linspace(0.0, 1.0, 2001)
+    worst_excess, worst_offset = 0.0, 0.0
     for _ in range(configs):
         x = sample_interior(ball, rng, 1, bound=1.0, min_margin=0.2)[0]
         p = sample_interior(ball, rng, 1, bound=1.0, min_margin=0.15)[0]
         q = sample_interior(ball, rng, 1, bound=1.0, min_margin=0.15)[0]
-        feet = [nearest_on_segment(ball, x, (p, q), t0=float(t0)).point
-                for t0 in rng.uniform(0.05, 0.95, restarts)]
-        feet = np.array(feet)
-        spread = float(np.max(np.linalg.norm(feet - feet.mean(axis=0), axis=1)))
-        worst_spread = max(worst_spread, spread)
-    gate = cfg.tol("projection.uniqueness", 1e-8)
-    checks.append(CheckResult("ball_feet_unique_under_restarts",
-                              worst_spread <= gate,
-                              {"max_spread": worst_spread, "restarts": restarts,
-                               "tolerance": gate}))
+        foot = nearest_on_segment(ball, x, (p, q))
+        values = funk_batch(ball, np.tile(x, (grid.size, 1)), p + grid[:, None] * (q - p))
+        low = float(values.min())
+        worst_excess = max(worst_excess, (foot.distance - low) / (1.0 + low))
+        near = grid[values <= max(foot.distance, low) + 1e-9]
+        worst_offset = max(worst_offset, float(np.max(np.abs(near - foot.param))))
+    step = float(grid[1])
+    checks.append(CheckResult("ball_feet_optimal_and_unique",
+                              worst_excess <= 1e-11 and worst_offset <= step,
+                              {"max_excess": worst_excess, "max_offset": worst_offset,
+                               "grid_step": step}))
 
     seg = (np.array([0.5, -0.25]), np.array([0.5, 0.25]))
     grid = np.linspace(0.0, 1.0, 101)

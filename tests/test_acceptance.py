@@ -114,12 +114,13 @@ def test_criterion_08_tangent_norm():
 
 def test_criterion_09_projection():
     checks, _ = _suite("projection")
-    ok = (checks["ball_feet_unique_under_restarts"].passed
+    ok = (checks["ball_feet_optimal_and_unique"].passed
           and checks["square_flat_sphere_gives_multiple_feet"].passed
           and checks["nearest_on_convex_always_certifies"].passed
           and checks["halfspace_target_foot_and_certificate"].passed)
-    _report(9, "feet unique in the ball (1e2 restarts, 1e-8), flat-sphere "
-               "non-uniqueness witnessed, every computed foot certifies", ok)
+    _report(9, "feet in the ball optimal and unique on a 2001-point grid, "
+               "flat-sphere non-uniqueness witnessed, every computed foot "
+               "certifies", ok)
 
 
 def test_criterion_10_appendix_oracles():

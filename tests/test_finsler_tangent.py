@@ -16,6 +16,7 @@ from funkgeo import (
     tangent_norm,
 )
 from funkgeo.finsler_tangent import polytope_support_form
+from funkgeo.suites import RunConfig, suite_tangent
 
 
 def test_gauge_of_unit_ball_at_center(ball, rng):
@@ -75,6 +76,43 @@ def test_difference_quotients_trivial_cases(ball, half_plane):
                                    [1e-1, 1e-2])
     assert all(q == 0.0 for _, q, _ in rows)
     assert convergence_order(rows) == math.inf
+
+
+STEPS = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
+
+
+def _rows(signed_error):
+    return [(t, 1.0 + signed_error(t), abs(signed_error(t))) for t in STEPS]
+
+
+@pytest.mark.parametrize("power", [0.5, 0.8])
+def test_convergence_order_still_fails_slower_than_first_order(power):
+    assert convergence_order(_rows(lambda t: 0.3 * t ** power)) < 0.9
+    # also when the slow rate only shows at the smallest steps
+    assert convergence_order(_rows(lambda t: t if t > 1e-3 else 1e-3 * (t / 1e-3) ** power)) < 0.9
+
+
+def test_convergence_order_reads_the_asymptotic_rows():
+    # First order, but the error changes sign between t = 0.1 and 0.01, so a
+    # fit over every row reads about 0.76.
+    rows = _rows(lambda t: t - 11.0 * t * t)
+    every_row = np.polyfit(np.log(STEPS), np.log([e for _, _, e in rows]), 1)[0]
+    assert every_row < 0.9 <= convergence_order(rows)
+    assert convergence_order(rows) == pytest.approx(1.0, abs=0.01)
+
+
+# (seed, count of difference_quotient_first_order configs): seeds 161 and 9600
+# failed at 1/16 counts, and seed 6 at default counts, with the fit over
+# every row.  The order check is the suite's first and draws first, so the
+# later checks' counts do not change it.
+@pytest.mark.parametrize("seed, order_configs", [(161, 1), (9600, 1), (6, 10)])
+def test_tangent_order_check_passes_on_formerly_failing_seeds(seed, order_configs):
+    cfg = RunConfig(seed=seed, counts={"tangent.order_configs": order_configs,
+                                       "tangent.identity_samples": 1,
+                                       "tangent.algebra": 1})
+    check = suite_tangent(cfg)[0]
+    assert check.name == "difference_quotient_first_order"
+    assert check.passed, check.detail
 
 
 def test_difference_quotients_reject_escaping_samples(ball):

@@ -36,6 +36,8 @@ from funkgeo import (
     triangle_report,
 )
 from funkgeo import metric_engine
+from funkgeo.ball_geometry import backward_ball, forward_ball, sphere_directions, sphere_sample
+from funkgeo.convex_core import _row_lengths
 from funkgeo.suites import sample_interior
 
 SQUARE = HPolytope.box([-1.0, -1.0], [1.0, 1.0])
@@ -46,7 +48,6 @@ KINDS = {
     "intersection": IntersectionDomain([SQUARE, EuclideanBall([0.3, 0.0], 1.1)],
                                        witness=[0.0, 0.0]),
 }
-COMPOSED = ("affine_image", "intersection")
 
 coords = st.floats(-2.5, 2.5, allow_nan=False)
 points = st.tuples(coords, coords).map(np.array)
@@ -102,6 +103,14 @@ def test_row_margins_match_scalar_margins(kind, pts):
         assert domain.contains(p) == pytest.approx(m, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("cols", range(2, 8))
+def test_row_lengths_match_numpy_norm_bit_for_bit(cols):
+    rng = np.random.default_rng(cols)
+    D = rng.standard_normal((2000, cols)) * 10.0 ** rng.integers(-150, 150, (2000, 1))
+    D[::7, 0] = 0.0
+    assert _row_lengths(D).tobytes() == np.linalg.norm(D, axis=1).tobytes()
+
+
 def _last_interior_point(domain):
     # The origin-side neighbour of 1 on the x-axis: interior by 1e-16, and
     # from x = -0.5 the direction rounds so that the exit parameter is 1.
@@ -122,10 +131,11 @@ NEAR_BOUNDARY = {
 def test_near_boundary_targets_raise_in_both_paths(kind):
     domain = KINDS[kind]
     for x, y in NEAR_BOUNDARY[kind]:
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError) as one:
             funk(domain, x, y)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError) as row:
             funk_batch(domain, [x], [y])
+        assert str(row.value) == str(one.value)
 
 
 def _answer(call):
@@ -140,8 +150,7 @@ def test_funk_and_funk_batch_agree_at_ray_exit_points(kind):
     # A ray's exit point lies within an ulp of the boundary, so whether it is
     # interior, and whether its exit parameter exceeds 1, turn on the last
     # bit.  The row kernels round as the scalar ones on these domains, so
-    # both paths give the same verdict; composed kinds also give funk's
-    # message.
+    # both paths give the same verdict, and the same message.
     domain = KINDS[kind]
     rng = np.random.default_rng(5)
     verdicts = set()
@@ -152,7 +161,7 @@ def test_funk_and_funk_batch_agree_at_ray_exit_points(kind):
         row = _answer(lambda: funk_batch(domain, [x], [a])[0])
         assert isinstance(one, str) == isinstance(row, str)
         if isinstance(one, str):
-            assert one == row or kind not in COMPOSED
+            assert one == row
         else:
             assert _close(one, row)
         verdicts.add(isinstance(one, str))
@@ -315,22 +324,22 @@ def test_public_functions_keep_their_messages(kind, fn, args, message):
     assert str(err.value) == message
 
 
-BATCH_MESSAGES = [  # (X, Y, message of a composed kind)
+BATCH_MESSAGES = [  # (X, Y, funk's message for the first offending pair)
     ([IN, OUT], [IN2, IN3], "x is not interior to the domain"),
     ([IN, IN2], [IN3, OUT], "y is not interior to the domain"),
     ([IN, INF], [IN2, IN3], "x has a non-finite coordinate"),
     ([IN, IN2], [IN3, NAN], "y has a non-finite coordinate"),
+    ([OUT, IN], [NAN, IN2], "x is not interior to the domain"),
+    ([IN, NAN], [OUT, IN2], "y is not interior to the domain"),
 ]
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("X, Y, composed_message", BATCH_MESSAGES)
-def test_funk_batch_keeps_its_messages(kind, X, Y, composed_message):
-    # Primitive kinds report the whole batch; composed kinds name the first
-    # offending pair.  A non-finite row is not interior on any kind, and is
-    # rejected before a kernel computes with it, so numpy does not warn.
-    message = composed_message if kind in COMPOSED else \
-        "all points must be interior to the domain"
+@pytest.mark.parametrize("X, Y, message", BATCH_MESSAGES)
+def test_funk_batch_keeps_its_messages(kind, X, Y, message):
+    # Every kind names the first offending pair as funk does.  A non-finite
+    # row is not interior on any kind, and is rejected before a kernel
+    # computes with it, so numpy does not warn.
     with warnings.catch_warnings(), pytest.raises(GeometryError) as err:
         warnings.simplefilter("error")
         funk_batch(KINDS[kind], X, Y)
@@ -340,8 +349,9 @@ def test_funk_batch_keeps_its_messages(kind, X, Y, composed_message):
 def test_funk_batch_rejects_a_non_finite_row_its_slacks_call_interior():
     # In {x1 < 1} the slack of (-inf, 0) is +inf, which reads as interior.
     half_plane = HPolytope([[1.0, 0.0]], [1.0], witness=[0.0, 0.0])
-    with pytest.raises(GeometryError, match="all points must be interior"):
+    with pytest.raises(GeometryError) as err:
         funk_batch(half_plane, [[-np.inf, 0.0]], [[0.0, 0.0]])
+    assert str(err.value) == "x has a non-finite coordinate"
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -426,3 +436,37 @@ def test_row_samplers_draw_the_same_stream_as_per_point_loops(kind, half_plane):
         loop = _interior_samples_per_point(domain, 50, rng_loop)
         assert np.allclose(rows, loop, rtol=1e-12, atol=1e-12)
         assert rng_rows.random() == rng_loop.random()
+
+
+def _sphere_sample_per_direction(ball, k, seed):
+    center = ball.center
+    for batch in range(17):
+        dirs = sphere_directions(center.size, k * 2 ** batch,
+                                 seed if center.size == 2 else seed + batch)
+        out = []
+        for u in dirs:
+            hit = ball.realized.ray_boundary(center, center + u)
+            if not hit.at_infinity:
+                out.append(hit.point)
+                if len(out) == k:
+                    return np.array(out)
+    raise AssertionError("not enough finite directions")
+
+
+HALF_SPACE_3D = HPolytope([[0.0, 0.0, -1.0]], [0.0], witness=[0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "half_plane", "half_space_3d"])
+def test_sphere_sample_casts_the_directions_of_a_per_direction_loop(kind, half_plane):
+    # One row-kernel call per batch of directions picks the same directions as
+    # one public cast per direction, escaping ones skipped, and the points
+    # agree within a few ulps.
+    domain = {**KINDS, "half_plane": half_plane, "half_space_3d": HALF_SPACE_3D}[kind]
+    x = domain.base_point()
+    for ball in (forward_ball(domain, x, 0.7), backward_ball(domain, x, 0.4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sphere_sample(ball, 24, seed=3)
+        want = _sphere_sample_per_direction(ball, 24, seed=3)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * (1.0 + np.abs(want)))

@@ -14,10 +14,12 @@ from funkgeo import (
     LinearForm,
     foot_certificate,
     funk,
+    funk_batch,
     is_perpendicular,
     nearest_on_convex,
     nearest_on_segment,
 )
+from funkgeo import _linprog
 from funkgeo._linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -74,6 +76,58 @@ def test_feasibility_matches_scipy(rng):
             assert np.max(A @ ours - b) <= 1e-8
 
 
+def _pivot_by_rows(T, basis, row, col):
+    # The row-by-row elimination the rank-1 update replaces.
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and abs(T[i, col]) > 0.0:
+            T[i] -= T[i, col] * T[row]
+    basis[row] = col
+
+
+def _small_lps(rng):
+    for _ in range(60):  # random, with duplicate rows and zero right-hand sides
+        m, n = rng.integers(3, 12), rng.integers(1, 5)
+        A = rng.integers(-3, 4, (m, n)).astype(float)
+        A[rng.integers(m)] = A[0]
+        b = rng.integers(-2, 4, m).astype(float)
+        yield rng.integers(-2, 3, n).astype(float), A, b
+    for _ in range(60):
+        m, n = rng.integers(2, 15), rng.integers(1, 6)
+        yield rng.standard_normal(n), rng.standard_normal((m, n)), rng.uniform(-1.0, 2.0, m)
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    fan = np.array([[math.cos(a), math.sin(a)] for a in np.linspace(0.0, 1.0, 6)])
+    yield np.array([1.0, 1.0]), np.vstack([square, square, [[1.0, 1.0]]]), np.r_[np.ones(8), 2.0]
+    yield np.array([1.0, 0.0]), np.vstack([fan, -fan]), np.r_[np.zeros(6), np.ones(6)]
+    yield np.array([0.0, 1.0]), np.vstack([square, [[1.0, 0.0]]]), np.r_[np.ones(4), -2.0]
+
+
+def _hex(result):
+    status, x, value = result
+    return status, None if x is None else [float.hex(v) for v in x], float.hex(value)
+
+
+def test_rank_one_pivot_matches_the_row_loop_bit_for_bit(monkeypatch, rng):
+    rank_one = _linprog._pivot
+    # Tableaux with signed zeros and zeros in the pivot column keep their bits.
+    for _ in range(50):
+        T = rng.integers(-2, 3, (6, 9)) * rng.choice([1.0, 0.5, -0.0], (6, 9))
+        row, col = rng.integers(6), rng.integers(8)
+        T[row, col] = rng.choice([1.5, -2.0])
+        T_fast, T_slow = T.copy(), T.copy()
+        basis_fast, basis_slow = np.zeros(6, dtype=int), np.zeros(6, dtype=int)
+        rank_one(T_fast, basis_fast, row, col)
+        _pivot_by_rows(T_slow, basis_slow, row, col)
+        assert T_fast.tobytes() == T_slow.tobytes()
+        assert np.array_equal(basis_fast, basis_slow)
+    lps = list(_small_lps(rng))
+    fast = [_hex(solve_lp(c, A, b)) for c, A, b in lps]
+    monkeypatch.setattr(_linprog, "_pivot", _pivot_by_rows)
+    slow = [_hex(solve_lp(c, A, b)) for c, A, b in lps]
+    assert fast == slow
+    assert {status for status, _, _ in fast} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
 # --- nearest point on a segment ------------------------------------------------
 
 def test_foot_on_containing_segment_is_the_point(square):
@@ -95,14 +149,19 @@ def test_square_flat_plateau_returns_midpoint(square):
     assert foot.distance == pytest.approx(LOG2, abs=1e-12)
 
 
-def test_segment_foot_independent_of_restart(ball, rng):
+def test_segment_foot_is_the_one_grid_minimiser(ball):
+    # Optimal against a dense grid of F along the segment to golden section's
+    # precision, and every grid point near its distance, or near the grid
+    # minimum, lies next to it.
     x = np.array([-0.2, 0.1])
-    seg = (np.array([0.1, -0.6]), np.array([0.4, 0.5]))
-    feet = [nearest_on_segment(ball, x, seg, t0=float(t)).point
-            for t in rng.uniform(0.05, 0.95, 25)]
-    feet.append(nearest_on_segment(ball, x, seg).point)
-    spread = np.max(np.linalg.norm(np.array(feet) - feet[0], axis=1))
-    assert spread <= 1e-8
+    p, q = np.array([0.1, -0.6]), np.array([0.4, 0.5])
+    foot = nearest_on_segment(ball, x, (p, q))
+    grid = np.linspace(0.0, 1.0, 2001)
+    values = funk_batch(ball, np.tile(x, (grid.size, 1)), p + grid[:, None] * (q - p))
+    low = values.min()
+    assert foot.distance - low <= 1e-11 * (1.0 + low)
+    near = grid[values <= max(foot.distance, low) + 1e-9]
+    assert np.max(np.abs(near - foot.param)) <= grid[1]
 
 
 def test_segment_endpoints_must_be_interior(square):
