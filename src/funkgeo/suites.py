@@ -467,14 +467,10 @@ def suite_invariance(cfg: RunConfig) -> list[CheckResult]:
     n = cfg.count("invariance.symmetry_pairs", 10_000)
     X = sample_interior(square, rng, n, bound=1.0)
     Y = sample_interior(square, rng, n, bound=1.0)
-    fwd = funk_batch(square, X, Y)
-    bwd = funk_batch(square, Y, X)
-    sym_gap = float(np.max(np.abs(0.5 * (fwd + bwd) - 0.5 * (bwd + fwd))))
     hil_gap = 0.0
     for x, y in zip(X[:200], Y[:200]):
         hil_gap = max(hil_gap, abs(hilbert(square, x, y) - hilbert(square, y, x)))
-    checks.append(CheckResult("hilbert_symmetry", max(sym_gap, hil_gap) <= 1e-12,
-                              {"max_gap": max(sym_gap, hil_gap)}))
+    checks.append(CheckResult("hilbert_symmetry", hil_gap <= 1e-12, {"max_gap": hil_gap}))
 
     polys = [unit_square(), random_polygon(rng)]
     worst = -np.inf
