@@ -671,16 +671,6 @@ class IntersectionDomain(ConvexDomain):
     def _margins(self, X) -> np.ndarray:
         return np.min([p._margins(X) for p in self.parts], axis=0)
 
-    def _hit(self, x, y, d) -> Hit:
-        best = None
-        for p in self.parts:
-            hit = p._hit(x, y, d)
-            if not hit.at_infinity and (best is None or hit.t < best.t):
-                best = hit
-        if best is None:
-            return Hit.escaped(d)
-        return best
-
     def _exit(self, x, y, d) -> float:
         return min(p._exit(x, y, d) for p in self.parts)
 
