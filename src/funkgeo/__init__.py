@@ -33,12 +33,10 @@ from .convex_core import (
     supporting_functional,
     to_projective,
 )
-from .domain_io import domain_to_dict, load_domain, parse_domain
+from .domain_io import load_domain, parse_domain
 from .finsler_tangent import (
     convergence_order,
     finite_difference_check,
-    remainder_constant,
-    tangent_distance,
     tangent_norm,
 )
 from .geodesy import (
@@ -52,17 +50,14 @@ from .geodesy import (
     verify_hilbert_geodesic,
 )
 from .metric_engine import (
-    Segment1D,
     distance_from_ratio,
     funk,
-    funk_1d,
     funk_batch,
     funk_polytope_closed_form,
     funk_unit_ball_closed_form,
     hilbert,
     max_symmetrized,
     minkowski_max_distance,
-    orthant_log_map,
     ratio_from_distances,
     relative_funk,
     reverse_funk,

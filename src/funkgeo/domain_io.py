@@ -176,33 +176,3 @@ def load_domain(path) -> ConvexDomain:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_domain(text, source=str(path))
-
-
-def domain_to_dict(domain: ConvexDomain) -> dict:
-    """Inverse of the parser, for report embedding and round trips."""
-    if isinstance(domain, HPolytope):
-        out = {
-            "dim": domain.dim,
-            "kind": "hpolytope",
-            "constraints": [list(row) + [float(t)] for row, t in zip(domain.A.tolist(), domain.b)],
-        }
-        if domain.vertices is not None:
-            out["vertices"] = domain.vertices.tolist()
-        if domain._witness is not None:
-            out["witness"] = domain._witness.tolist()
-        return out
-    if isinstance(domain, EuclideanBall):
-        return {"dim": domain.dim, "kind": "ball",
-                "center": domain.center.tolist(), "radius": domain.radius}
-    if isinstance(domain, AffineImage):
-        return {"dim": domain.dim, "kind": "affine_image",
-                "inner": domain_to_dict(domain.inner),
-                "matrix": domain.map.matrix.tolist(),
-                "translation": domain.map.translation.tolist()}
-    if isinstance(domain, IntersectionDomain):
-        out = {"dim": domain.dim, "kind": "intersection",
-               "parts": [domain_to_dict(p) for p in domain.parts]}
-        if domain._base is not None:
-            out["witness"] = domain._base.tolist()
-        return out
-    raise DomainSpecError(f"cannot serialize domain of type {type(domain).__name__}")

@@ -32,13 +32,6 @@ def tangent_norm(domain: ConvexDomain, p, v) -> float:
     return 0.0 if t == math.inf else 1.0 / t
 
 
-def tangent_distance(domain: ConvexDomain, p, x, y) -> float:
-    """Infinitesimal distance from x to y as seen from the base point p."""
-    x = as_point(x, domain.dim, "x")
-    y = as_point(y, domain.dim, "y")
-    return tangent_norm(domain, p, y - x)
-
-
 def finite_difference_check(domain: ConvexDomain, p, x, y, t_list
                             ) -> list[tuple[float, float, float]]:
     """Difference quotients F(p + t x, p + t y)/t against the tangent norm.
@@ -79,11 +72,6 @@ def convergence_order(rows) -> float:
     ts = np.log([t for t, _ in pts])
     es = np.log([e for _, e in pts])
     return float(np.polyfit(ts, es, 1)[0])
-
-
-def remainder_constant(rows) -> float:
-    """Smallest C with error(t) <= C * t over the measured rows."""
-    return max((e / t for t, _, e in rows), default=0.0)
 
 
 def polytope_support_form(polytope: HPolytope, p, v) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,35 +182,6 @@ def funk_unit_ball_closed_form(x, y) -> float:
     return 0.0 if value < tol.F_CLAMP else value
 
 
-@dataclass(frozen=True)
-class Segment1D:
-    """Open interval (low, high) of the real line, low < high."""
-
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not (self.low < self.high):
-            raise GeometryError("segment needs low < high")
-
-
-def funk_1d(seg: Segment1D, x: float, y: float) -> float:
-    """Funk distance inside an interval.
-
-    The ray from x through y meets the endpoint on y's side; the distance
-    is the log-ratio of the distances of x and y to that endpoint.
-    """
-    x = float(x)
-    y = float(y)
-    if not (seg.low < x < seg.high) or not (seg.low < y < seg.high):
-        raise GeometryError("both points must lie strictly inside the segment")
-    if y == x:
-        return 0.0
-    if y > x:
-        return math.log((seg.high - x) / (seg.high - y))
-    return math.log((x - seg.low) / (y - seg.low))
-
-
 def ratio_from_distances(fxy: float, fxz: float) -> float:
     """Division ratio t with z = x + t*(y - x) from two aligned distances.
 
@@ -230,18 +200,6 @@ def distance_from_ratio(fxy: float, t: float) -> float:
     if arg <= 0.0:
         raise GeometryError("ratio places z at or beyond the boundary")
     return fxy - math.log(arg)
-
-
-def orthant_log_map(x) -> np.ndarray:
-    """Componentwise logarithm, the isometry of the positive orthant.
-
-    Pushes the orthant's Funk distance forward to
-    ``max_i max(0, u_i - v_i)`` on all of n-space.
-    """
-    x = as_point(x, name="x")
-    if np.any(x <= 0.0):
-        raise GeometryError("all coordinates must be positive")
-    return np.log(x)
 
 
 def minkowski_max_distance(u, v) -> float:

@@ -1,11 +1,9 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from funkgeo import DomainSpecError, funk, load_domain, parse_domain
-from funkgeo.domain_io import domain_to_dict
 
 SQUARE = {
     "dim": 2,
@@ -48,13 +46,6 @@ def test_load_domain_from_file(tmp_path):
     path.write_text(json.dumps(SQUARE, indent=1))
     domain = load_domain(path)
     assert domain.dim == 2
-
-
-def test_round_trip_through_dict():
-    domain = parse_domain(json.dumps(SQUARE))
-    again = parse_domain(json.dumps(domain_to_dict(domain)))
-    assert np.array_equal(again.A, domain.A)
-    assert np.array_equal(again.b, domain.b)
 
 
 @pytest.mark.parametrize("mutate, needle", [

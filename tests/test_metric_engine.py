@@ -9,17 +9,14 @@ from funkgeo import (
     EuclideanBall,
     GeometryError,
     HPolytope,
-    Segment1D,
     distance_from_ratio,
     funk,
-    funk_1d,
     funk_batch,
     funk_polytope_closed_form,
     funk_unit_ball_closed_form,
     hilbert,
     max_symmetrized,
     minkowski_max_distance,
-    orthant_log_map,
     ratio_from_distances,
     relative_funk,
     reverse_funk,
@@ -28,6 +25,7 @@ from funkgeo import (
 from conftest import bisect_boundary
 
 LOG2 = math.log(2.0)
+INTERVAL = HPolytope.box([-1.0], [1.0])
 LOG3 = math.log(3.0)
 
 
@@ -161,34 +159,29 @@ def test_funk_against_membership_bisection(square, ball, rng):
 
 # --- one-dimensional distance ---------------------------------------------------
 
-def test_funk_1d_examples():
-    seg = Segment1D(-1.0, 1.0)
-    assert funk_1d(seg, 0.0, 0.5) == pytest.approx(LOG2, abs=1e-15)
-    assert funk_1d(seg, 0.5, 0.0) == pytest.approx(math.log(1.5), abs=1e-15)
-    assert funk_1d(seg, 0.3, 0.3) == 0.0
+def test_interval_examples():
+    assert funk(INTERVAL, [0.0], [0.5]) == pytest.approx(LOG2, abs=1e-15)
+    assert funk(INTERVAL, [0.5], [0.0]) == pytest.approx(math.log(1.5), abs=1e-15)
+    assert funk(INTERVAL, [0.3], [0.3]) == 0.0
 
 
-def test_funk_1d_rejects_outside():
+def test_interval_rejects_outside():
     with pytest.raises(GeometryError):
-        funk_1d(Segment1D(-1.0, 1.0), 0.0, 1.5)
-    with pytest.raises(GeometryError):
-        Segment1D(1.0, -1.0)
+        funk(INTERVAL, [0.0], [1.5])
 
 
 @settings(max_examples=100, deadline=None)
 @given(x=st.floats(-0.99, 0.99), y=st.floats(-0.99, 0.99), z=st.floats(-0.99, 0.99))
-def test_funk_1d_triangle_inequality(x, y, z):
-    seg = Segment1D(-1.0, 1.0)
-    assert funk_1d(seg, x, z) <= funk_1d(seg, x, y) + funk_1d(seg, y, z) + 1e-12
+def test_interval_triangle_inequality(x, y, z):
+    assert funk(INTERVAL, [x], [z]) <= funk(INTERVAL, [x], [y]) + funk(INTERVAL, [y], [z]) + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(x=st.floats(-0.9, 0.9), y=st.floats(-0.9, 0.9), s=st.floats(0.0, 1.0))
-def test_funk_1d_projective_on_segments(x, y, s):
-    seg = Segment1D(-1.0, 1.0)
+def test_interval_projective_on_segments(x, y, s):
     z = x + s * (y - x)
-    assert funk_1d(seg, x, y) == pytest.approx(
-        funk_1d(seg, x, z) + funk_1d(seg, z, y), abs=1e-12)
+    assert funk(INTERVAL, [x], [y]) == pytest.approx(
+        funk(INTERVAL, [x], [z]) + funk(INTERVAL, [z], [y]), abs=1e-12)
 
 
 # --- division-ratio calculus ------------------------------------------------------
@@ -220,26 +213,17 @@ def test_ratio_round_trip(fxy, fxz):
 
 
 def test_ratio_matches_interval_geometry():
-    seg = Segment1D(-1.0, 1.0)
-    fxy = funk_1d(seg, 0.0, 0.5)
-    fxz = funk_1d(seg, 0.0, 0.75)
+    fxy = funk(INTERVAL, [0.0], [0.5])
+    fxz = funk(INTERVAL, [0.0], [0.75])
     assert ratio_from_distances(fxy, fxz) == pytest.approx(1.5, abs=1e-12)
 
 
-# --- orthant log map ---------------------------------------------------------------
-
-def test_orthant_log_map_values():
-    assert orthant_log_map([1.0, 1.0]) == pytest.approx([0.0, 0.0])
-    assert orthant_log_map([math.e, 1.0]) == pytest.approx([1.0, 0.0])
-    with pytest.raises(GeometryError):
-        orthant_log_map([1.0, 0.0])
-
+# --- orthant log isometry ----------------------------------------------------------
 
 def test_orthant_isometry_worked_pair():
     orthant = HPolytope(-np.eye(2), np.zeros(2), witness=[1.0, 1.0])
     lhs = funk(orthant, [2.0, 1.0], [1.0, 1.0])
-    rhs = minkowski_max_distance(orthant_log_map([2.0, 1.0]),
-                                 orthant_log_map([1.0, 1.0]))
+    rhs = minkowski_max_distance(np.log([2.0, 1.0]), np.log([1.0, 1.0]))
     assert lhs == pytest.approx(rhs, abs=1e-15)
     assert lhs == pytest.approx(LOG2, abs=1e-15)
 
