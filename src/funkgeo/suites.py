@@ -292,8 +292,8 @@ def suite_oracle_closedform(cfg: RunConfig) -> list[CheckResult]:
     per_dim = cfg.count("oracle.pairs_per_dim", 2500)
     gate = cfg.tol("oracle.agreement", 1e-9)
 
-    # Scalar funk here: the polytope row kernel rounds its slacks otherwise,
-    # which moves max_gap's last digits (seed 7 at default counts).
+    # Scalar funk here, not funk_batch: the polytope row kernel rounds its
+    # slacks differently, which moves max_gap's last digits (seed 7, default counts).
     worst = 0.0
     for dim in (2, 3, 4, 5):
         poly = random_polytope(rng, dim)
