@@ -25,8 +25,8 @@ from funkgeo import (
 from conftest import bisect_boundary
 
 LOG2 = math.log(2.0)
-INTERVAL = HPolytope.box([-1.0], [1.0])
 LOG3 = math.log(3.0)
+INTERVAL = HPolytope.box([-1.0], [1.0])
 
 
 # --- the five metrics ---------------------------------------------------------
