@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # the package only; scipy loads .special and .stats on first use
+import scipy  # unused here: perfbench/child.py reads sys.modules["scipy"].__version__
 
 from . import tolerances as tol
 from .convex_core import (
@@ -92,26 +92,40 @@ def backward_ball(domain: ConvexDomain, x, rho: float) -> MetricBall:
                       realized=realized, ambient=domain)
 
 
+def _halton(dim: int, n: int, seed: int) -> np.ndarray:
+    """n Halton points in [0, 1)^dim, each digit position permuted at random."""
+    rng = np.random.default_rng(seed)
+    bases = [p for p in range(2, 3 + dim * dim)
+             if all(p % q for q in range(2, math.isqrt(p) + 1))][:dim]
+    points = np.empty((n, dim))
+    for col, base in enumerate(bases):
+        count = math.ceil(54 / math.log2(base)) - 1  # the j with 1 - base**-j < 1
+        perms = rng.permuted(np.tile(np.arange(base), (count, 1)), axis=1)
+        weights = float(base) ** -np.arange(1, count + 1)
+        used = next(j for j in range(count) if base ** j >= n)  # digits of range(n)
+        digits = np.arange(n)[:, None] // base ** np.arange(used) % base
+        points[:, col] = (perms[np.arange(used), digits] @ weights[:used]
+                          + perms[used:, 0] @ weights[used:])  # the tail's zero digits
+    return points
+
+
 def sphere_directions(dim: int, k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """k quasi-uniform unit directions, reproducible for a given seed.
 
-    Two dimensions use equally spaced angles; higher dimensions map a
-    seeded low-discrepancy sequence through the inverse normal CDF and
-    normalize.
+    Two dimensions use equally spaced angles.  Higher dimensions take k
+    points of a Halton sequence in dim + dim % 2 primes, its digits
+    permuted by ``default_rng(seed)``, map each pair of coordinates to two
+    normals by Box-Muller, keep the first dim and normalize.
     """
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(k) / k
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         dirs[np.abs(dirs) < 1e-15] = 0.0  # exact axis directions
         return dirs
-    sampler = scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed)
-    dirs = np.empty((0, dim))
-    while dirs.shape[0] < k:
-        block = scipy.special.ndtri(sampler.random(2 * k).clip(1e-12, 1 - 1e-12))
-        norms = np.linalg.norm(block, axis=1)
-        good = block[norms > 1e-8] / norms[norms > 1e-8, None]
-        dirs = np.vstack([dirs, good])
-    return dirs[:k]
+    u = _halton(dim + dim % 2, k, seed).clip(1e-12, 1 - 1e-12)
+    r, theta = np.sqrt(-2.0 * np.log(u[:, 0::2])), 2.0 * np.pi * u[:, 1::2]
+    normals = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2).reshape(u.shape)
+    return normals[:, :dim] / np.linalg.norm(normals[:, :dim], axis=1)[:, None]
 
 
 def sphere_sample(ball: MetricBall, k: int, seed: int = DEFAULT_SEED) -> np.ndarray:

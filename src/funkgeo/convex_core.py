@@ -560,6 +560,11 @@ class AffineMap:
         self.dim = t.size
 
     def __call__(self, x) -> Vector:
+        """Map a point, or a stack of points with one matrix product.
+
+        The product rounds differently from mapping one point at a time,
+        which is why ``invert`` maps row by row.
+        """
         return np.asarray(x, dtype=float) @ self.matrix.T + self.translation
 
     def invert(self, y) -> Vector:
