@@ -154,7 +154,7 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:n]
 
 
-def recession_cone_is_trivial(A: np.ndarray, tol: float = 1e-7) -> bool:
+def recession_cone_is_trivial(A: np.ndarray) -> bool:
     """True iff {v : A v <= 0} = {0}, i.e. the polyhedron {A x <= b} is bounded."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
@@ -166,6 +166,6 @@ def recession_cone_is_trivial(A: np.ndarray, tol: float = 1e-7) -> bool:
             c = np.zeros(n)
             c[i] = sign
             status, _, value = solve_lp(c, A_all, b_all)
-            if status != OPTIMAL or value > tol:
+            if status != OPTIMAL or value > 1e-7:  # a rounding floor, far below the box's 1
                 return False
     return True

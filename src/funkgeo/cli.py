@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,16 +45,23 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _parse_overrides(pairs: list[str], kind: str) -> dict:
+    """KEY=VALUE pairs: a tolerance finite and at least machine epsilon, a count at least 1."""
     out = {}
     for item in pairs or []:
-        if "=" not in item:
+        key, sep, raw = item.partition("=")
+        key = key.strip()
+        if not sep:
             raise GeometryError(f"--{kind} expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        value = float(raw) if kind == "tol" else int(raw)
-        if kind == "tol" and value < np.finfo(float).eps:
-            raise GeometryError(
-                f"tolerance override {key} must be at least machine epsilon")
-        out[key.strip()] = value
+        try:
+            value = float(raw) if kind == "tol" else int(raw)
+        except ValueError:
+            value = math.nan  # fails both range tests below
+        if kind == "tol" and not np.finfo(float).eps <= value < math.inf:
+            raise GeometryError(f"--tol {key} must be a finite number of at least "
+                                f"machine epsilon, got {raw!r}")
+        if kind == "count" and not value >= 1:
+            raise GeometryError(f"--count {key} must be an integer of at least 1, got {raw!r}")
+        out[key] = value
     return out
 
 
@@ -73,37 +81,23 @@ def _cmd_dist(args) -> int:
     domain = load_domain(args.domain)
     x = _parse_point(args.x)
     y = _parse_point(args.y)
-    metric = args.metric
-    if np.linalg.norm(y - x) <= 1e-13:
-        # no ray to describe; every metric vanishes on the diagonal
-        if metric == "relfunk" and args.u_domain:
-            load_domain(args.u_domain)
-        print(_fmt12(0.0))
-        return 0
-    lines = []
-    if metric == "funk":
-        value = funk(domain, x, y)
-        lines.append(_describe_hit("a(x,y)", domain.ray_boundary(x, y)))
-    elif metric == "rfunk":
-        value = reverse_funk(domain, x, y)
-        lines.append(_describe_hit("a(y,x)", domain.ray_boundary(y, x)))
-    elif metric == "hilbert":
-        value = hilbert(domain, x, y)
-        lines.append(_describe_hit("a(x,y)", domain.ray_boundary(x, y)))
-        lines.append(_describe_hit("a(y,x)", domain.ray_boundary(y, x)))
-    elif metric == "maxsym":
-        value = max_symmetrized(domain, x, y)
-        lines.append(_describe_hit("a(x,y)", domain.ray_boundary(x, y)))
-        lines.append(_describe_hit("a(y,x)", domain.ray_boundary(y, x)))
-    else:  # relfunk
+    forward = ("a(x,y)", domain, x, y)
+    backward = ("a(y,x)", domain, y, x)
+    if args.metric == "relfunk":
         outer = load_domain(args.u_domain) if args.u_domain else None
         value = relative_funk(domain, outer, x, y)
-        lines.append(_describe_hit("a(x,y)", domain.ray_boundary(x, y)))
-        if outer is not None:
-            lines.append(_describe_hit("omega(y,x)", outer.ray_boundary(y, x)))
+        rays = [forward] if outer is None else [forward, ("omega(y,x)", outer, y, x)]
+    else:
+        metric, rays = {"funk": (funk, [forward]),
+                        "rfunk": (reverse_funk, [backward]),
+                        "hilbert": (hilbert, [forward, backward]),
+                        "maxsym": (max_symmetrized, [forward, backward])}[args.metric]
+        value = metric(domain, x, y)
     print(_fmt12(value))
-    for line in lines:
-        print(line)
+    # The metric has validated both points; coincident ones cast no ray.
+    if np.linalg.norm(y - x) > tolerances.EPS_PT:
+        for label, dom, p, q in rays:
+            print(_describe_hit(label, dom.ray_boundary(p, q)))
     return 0
 
 
@@ -172,19 +166,10 @@ def _cmd_suite(args) -> int:
     cfg = RunConfig(seed=args.seed,
                     tolerances=_parse_overrides(args.tol, "tol"),
                     counts=_parse_overrides(args.count, "count"))
-    previous = {}  # the tolerances module values the overrides replace
-    for key, value in cfg.tolerances.items():
-        if hasattr(tolerances, key.upper()):
-            previous.setdefault(key.upper(), getattr(tolerances, key.upper()))
-            setattr(tolerances, key.upper(), value)
-    try:
-        report = run_suite(args.name, cfg)
-    finally:  # an in-process caller keeps its own tolerances
-        for attr, value in previous.items():
-            setattr(tolerances, attr, value)
-    unknown = [f"--tol {k}" for k in cfg.tolerances
-               if ("tol", k) not in cfg.read and k.upper() not in previous]
-    unknown += [f"--count {k}" for k in cfg.counts if ("count", k) not in cfg.read]
+    report = run_suite(args.name, cfg)
+    unknown = [f"--{kind} {key}"
+               for kind, given in (("tol", cfg.tolerances), ("count", cfg.counts))
+               for key in given if (kind, key) not in cfg.read]
     if unknown:
         raise KeyError(f"no check of suite {args.name!r} reads {', '.join(unknown)}")
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -203,12 +203,11 @@ class ConvexDomain:
     def is_bounded(self) -> bool:
         raise NotImplementedError
 
-    def interior_samples(self, k: int, rng: np.random.Generator,
-                         reach: float = 1e3) -> np.ndarray:
+    def interior_samples(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """k interior points, drawn by casting rays from the base point.
 
-        Unbounded directions are truncated at ``reach``.  Not uniform; meant
-        for validation sampling, not integration.
+        Unbounded directions are truncated at 1e3.  Not uniform; meant for
+        validation sampling, not integration.
         """
         p = self.base_point()
         U = np.empty((k, self.dim))
@@ -217,7 +216,7 @@ class ConvexDomain:
             u = rng.standard_normal(self.dim)
             U[i] = u / np.linalg.norm(u)
             frac[i] = rng.random() ** (1.0 / self.dim)
-        t_max = np.minimum(self._exits(np.broadcast_to(p, U.shape), p + U), reach)
+        t_max = np.minimum(self._exits(np.broadcast_to(p, U.shape), p + U), 1e3)
         return p + (0.999 * frac * t_max)[:, None] * U
 
     # -- unchecked kernels -------------------------------------------------

@@ -91,7 +91,7 @@ def _build(obj, src: _Source) -> ConvexDomain:
     if not isinstance(obj, dict):
         raise src.fail(None, "domain description must be a JSON object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise src.fail("dim", '"dim" must be a positive integer')
     kind = obj.get("kind")
     if kind not in _KINDS:
@@ -102,7 +102,7 @@ def _build(obj, src: _Source) -> ConvexDomain:
     if kind == "ball":
         center = _number_list(obj.get("center"), src, "center", dim)
         radius = obj.get("radius")
-        if not isinstance(radius, (int, float)):
+        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
             raise src.fail("radius", '"radius" must be a number')
         with _anchored(src, "radius"):
             return EuclideanBall(center, radius)

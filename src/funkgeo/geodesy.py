@@ -7,12 +7,16 @@ of the closure).  A polyline is geodesic iff its distance sum equals the
 endpoint distance, which by the chained triangle inequality is
 equivalent to additivity over every sub-triple.
 
-The alignment flag is a rank test on stacked homogeneous coordinates and
-handles finite and at-infinity hits uniformly.  Caveat: in dimension one,
-and for triples where the forward hits collapse onto a single line
-through coincident points, projective alignment is automatic while
-additivity can still fail; the characterization is informative for
-non-collinear triples in dimension two and up.
+The alignment flag is a rank test on the stacked unit homogeneous
+coordinates of the hits, so it handles finite and at-infinity hits
+uniformly: the hits are aligned iff the smallest singular value is at most
+``tolerances.EPS_RANK`` (64 eps) times the largest, a bound on the rounding
+of the hits and of the SVD.  Caveat: in dimension one (three points of the
+projective line, always aligned), and for triples where the forward hits
+collapse onto a single line through coincident points, projective
+alignment is automatic while additivity can still fail; the
+characterization is informative for non-collinear triples in dimension two
+and up.
 """
 
 from __future__ import annotations
@@ -41,11 +45,9 @@ class TriangleReport:
     defect: float
     hits: tuple[np.ndarray, np.ndarray, np.ndarray]  # projective coordinates
     aligned: bool
-    singular_ratio: float
 
 
-def triangle_report(domain: ConvexDomain, x, y, z,
-                    eps_rank: float | None = None) -> TriangleReport:
+def triangle_report(domain: ConvexDomain, x, y, z) -> TriangleReport:
     """Defect F(x,y) + F(y,z) - F(x,z) and alignment of the three hits."""
     x = as_point(x, domain.dim, "x")
     y = as_point(y, domain.dim, "y")
@@ -63,12 +65,12 @@ def triangle_report(domain: ConvexDomain, x, y, z,
     defect = fxy + fyz - fxz
     rows = np.vstack([to_projective(h) for h in hits])
     svals = np.linalg.svd(rows, compute_uv=False)
-    ratio = float(svals[-1] / svals[0])
-    eps = tol.EPS_RANK if eps_rank is None else eps_rank
+    # In one dimension the rows have two entries, and three points of a line
+    # are always aligned: the missing third singular value is 0.
+    smallest = svals[2] if svals.size == 3 else 0.0
     return TriangleReport(defect=float(defect),
                           hits=(rows[0], rows[1], rows[2]),
-                          aligned=bool(ratio <= eps),
-                          singular_ratio=ratio)
+                          aligned=bool(smallest <= tol.EPS_RANK * svals[0]))
 
 
 @dataclass(frozen=True)
@@ -116,32 +118,29 @@ def cone_member(polytope: HPolytope, cone: FaceCone, v) -> bool:
     return cone.face <= polytope.active_face(hit.point)
 
 
-def _verify_polyline(metric, domain: ConvexDomain, polyline,
-                     eps: float | None) -> tuple[bool, float]:
+def _verify_polyline(metric, domain: ConvexDomain, polyline) -> tuple[bool, float]:
     """Additivity test of ``metric`` (a kernel on validated points) along a polyline.
 
     defect = sum of consecutive distances minus the endpoint distance;
-    geodesic iff the defect is below ``eps`` (triangle-inequality chain).
+    geodesic iff the defect is at most ``tolerances.EPS_GEODESIC``
+    (triangle-inequality chain).
     """
     pts = [_check_interior(domain, p, f"polyline[{i}]") for i, p in enumerate(polyline)]
     if len(pts) < 2:
         raise GeometryError("a polyline needs at least two points")
     total = sum(metric(domain, pts[i], pts[i + 1]) for i in range(len(pts) - 1))
     defect = total - metric(domain, pts[0], pts[-1])
-    eps = tol.EPS_GEODESIC if eps is None else eps
-    return bool(defect <= eps), float(defect)
+    return bool(defect <= tol.EPS_GEODESIC), float(defect)
 
 
-def verify_geodesic(domain: ConvexDomain, polyline,
-                    eps: float | None = None) -> tuple[bool, float]:
+def verify_geodesic(domain: ConvexDomain, polyline) -> tuple[bool, float]:
     """Whether a polyline is a Funk geodesic, with its additivity defect."""
-    return _verify_polyline(_funk, domain, polyline, eps)
+    return _verify_polyline(_funk, domain, polyline)
 
 
-def verify_hilbert_geodesic(domain: ConvexDomain, polyline,
-                            eps: float | None = None) -> tuple[bool, float]:
+def verify_hilbert_geodesic(domain: ConvexDomain, polyline) -> tuple[bool, float]:
     """Geodesic test for the Hilbert distance (additivity of H)."""
-    return _verify_polyline(_hilbert, domain, polyline, eps)
+    return _verify_polyline(_hilbert, domain, polyline)
 
 
 def polyline_face_witness(polytope: HPolytope, polyline,

@@ -741,14 +741,13 @@ def suite_triangle(cfg: RunConfig) -> list[CheckResult]:
     square = unit_square()
     ball = unit_ball()
     gate = cfg.tol("triangle.defect", 1e-9)
-    eps_rank = cfg.tol("triangle.rank", tol.EPS_RANK)
 
     n_edge = cfg.count("triangle.edge_triples", 1000)
     worst_defect = 0.0
     aligned_all = True
     for _ in range(n_edge):
         x, y, z = _edge_aligned_triple(rng)
-        rep = triangle_report(square, x, y, z, eps_rank=eps_rank)
+        rep = triangle_report(square, x, y, z)
         worst_defect = max(worst_defect, abs(rep.defect))
         aligned_all = aligned_all and rep.aligned
     checks.append(CheckResult("square_edge_triples_reach_equality",
@@ -775,7 +774,7 @@ def suite_triangle(cfg: RunConfig) -> list[CheckResult]:
         if off_line < 1e-2:
             redrawn += 1
             continue
-        rep = triangle_report(ball, pts[0], pts[1], pts[2], eps_rank=eps_rank)
+        rep = triangle_report(ball, pts[0], pts[1], pts[2])
         min_defect = min(min_defect, rep.defect)
         if rep.aligned or rep.defect <= 0.0:
             misclassified += 1
@@ -798,7 +797,7 @@ def suite_triangle(cfg: RunConfig) -> list[CheckResult]:
         d = (z - x) / np.linalg.norm(z - x)
         normal = np.array([-d[1], d[0]])
         y_off = x + rng.uniform(0.3, 0.7) * (z - x) + 1e-2 * normal
-        rep = triangle_report(ball, x, y_off, z, eps_rank=eps_rank)
+        rep = triangle_report(ball, x, y_off, z)
         min_pert = min(min_pert, rep.defect)
     checks.append(CheckResult("perturbation_breaks_equality", min_pert > 1e-6,
                               {"min_defect": min_pert}))

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -173,33 +174,99 @@ def test_suite_tolerance_override_can_force_failure(capsys):
                  "--tol", "ratio.round_trip=3e-16"]) == 1
 
 
+def _constants():
+    return {k: v for k, v in vars(tolerances).items() if k.isupper()}
+
+
 def test_suite_unknown_override_keys_exit_2(tmp_path, capsys):
+    before = _constants()
     out = tmp_path / "report.json"
     assert main(["suite", "ratio", "--count", "ratio.configs=20",
                  "--count", "ratio.config=5", "--count", "axioms.triples=5",
                  "--tol", "eps_bd=1e-6", "--tol", "ratio.round_trip=1e-9",
                  "--tol", "ratio.roundtrip=1e-9", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    for key in ("--count ratio.config,", "--count axioms.triples", "--tol ratio.roundtrip"):
+    for key in ("--count ratio.config,", "--count axioms.triples", "--tol ratio.roundtrip",
+                "--tol eps_bd"):
         assert key in err
-    assert "eps_bd" not in err and "ratio.configs" not in err and "round_trip" not in err
+    assert "ratio.configs" not in err and "round_trip" not in err
     assert not out.exists()
+    assert _constants() == before
 
 
 def test_tolerance_override_must_exceed_machine_epsilon(capsys):
     assert main(["suite", "ratio", "--tol", "ratio.round_trip=1e-300"]) == 2
 
 
-def test_tolerance_overrides_do_not_leak_between_runs(tmp_path):
-    default = tolerances.EPS_BD
+def test_tolerance_overrides_do_not_leak_between_runs(tmp_path, capsys):
+    before = _constants()
     args = ["suite", "convex-core", "--count", "convex_core.rays=20",
             "--count", "convex_core.monotone=5", "--count", "convex_core.equivariance=5",
             "--count", "convex_core.support=50", "--count", "convex_core.intersection=10"]
-    assert main(args + ["--tol", "eps_bd=1e-6", "--out", str(tmp_path / "r1.json")]) == 0
-    assert tolerances.EPS_BD == default
+    # a module constant's name is no key: it exits 2 and changes nothing
+    assert main(args + ["--tol", "eps_bd=1e-6", "--out", str(tmp_path / "r0.json")]) == 2
+    assert "--tol eps_bd" in capsys.readouterr().err
+    assert not (tmp_path / "r0.json").exists()
+    assert _constants() == before
+    assert main(args + ["--tol", "convex_core.boundary=1e-6",
+                        "--out", str(tmp_path / "r1.json")]) == 0
     assert main(args + ["--out", str(tmp_path / "r2.json")]) == 0
+    assert _constants() == before
     gates = [check["detail"]["tolerance"]
              for i in (1, 2)
              for check in json.loads((tmp_path / f"r{i}.json").read_text())["checks"]
              if check["name"] == "ray_cast_boundary_consistency"]
-    assert gates == [1e-6, default]
+    assert gates == [1e-6, tolerances.EPS_BD]
+
+
+def test_concurrent_suites_keep_their_own_gates(tmp_path):
+    gates = (1e-9, 2e-9)
+    barrier = threading.Barrier(len(gates))
+    codes = {}
+
+    def run(gate):
+        barrier.wait(timeout=60)
+        codes[gate] = main(["suite", "ratio", "--count", "ratio.configs=300",
+                            "--tol", f"ratio.round_trip={gate!r}",
+                            "--out", str(tmp_path / f"{gate!r}.json")])
+
+    threads = [threading.Thread(target=run, args=(gate,)) for gate in gates]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert codes == {gate: 0 for gate in gates}
+    for gate in gates:
+        report = json.loads((tmp_path / f"{gate!r}.json").read_text())
+        assert report["tolerance_overrides"] == {"ratio.round_trip": gate}
+        assert [c["detail"]["tolerance"] for c in report["checks"]
+                if "tolerance" in c["detail"]] == [gate, gate]
+
+
+@pytest.mark.parametrize("override, message", [
+    (["--count", "ratio.configs=abc"], "--count ratio.configs must be an integer"),
+    (["--count", "ratio.configs=0"], "--count ratio.configs must be an integer of at least 1"),
+    (["--count", "ratio.configs=-3"], "--count ratio.configs must be an integer of at least 1"),
+    (["--count", "ratio.configs"], "--count expects KEY=VALUE"),
+    (["--tol", "ratio.round_trip=x"], "--tol ratio.round_trip must be a finite number"),
+    (["--tol", "ratio.round_trip=nan"], "--tol ratio.round_trip must be a finite number"),
+    (["--tol", "ratio.round_trip=inf"], "--tol ratio.round_trip must be a finite number"),
+], ids=["count-text", "count-zero", "count-negative", "count-no-value",
+        "tol-text", "tol-nan", "tol-inf"])
+def test_invalid_override_values_exit_2(override, message, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["suite", "ratio", *override, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dist_points_of_different_dimensions_exit_2(square_file, capsys):
+    assert main(["dist", square_file, "funk", "0,0", "0.5,0,0"]) == 2
+    assert "dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["funk", "rfunk", "hilbert", "maxsym", "relfunk"])
+def test_dist_equal_points_outside_the_domain_exit_2(square_file, metric, capsys):
+    assert main(["dist", square_file, metric, "5,5", "5,5"]) == 2
+    assert "interior" in capsys.readouterr().err

@@ -60,6 +60,14 @@ def test_invalid_values_rejected_with_named_invariant(mutate, needle):
         parse_domain(json.dumps(spec))
 
 
+@pytest.mark.parametrize("key", ["dim", "radius"])
+def test_json_booleans_are_not_numbers(key):
+    spec = {"dim": 1, "kind": "ball", "center": [0.0], "radius": 1}
+    spec[key] = True
+    with pytest.raises(DomainSpecError, match=key):
+        parse_domain(json.dumps(spec))
+
+
 def test_bad_constraint_row_width():
     spec = dict(SQUARE)
     spec["constraints"] = [[1, 0, 0, 1]]

@@ -48,6 +48,54 @@ def test_ball_generic_triple_is_strict(ball):
     assert not rep.aligned
 
 
+# One ball triple of each seed configuration that a ratio gate of 1e-7 called
+# aligned (seeds 1-3 at default counts, then 21, 89, 115, 127 and 195 at the
+# benchmark's 1/16 counts).  Three points of a circle are never aligned.
+BALL_TRIPLES_NEAR_THE_OLD_GATE = [
+    (("-0x1.8d8b3e2675b90p-2", "-0x1.38d55edc69bc0p-6"),
+     ("0x1.9127e793e4648p-2", "-0x1.48dd70d2ce900p-5"),
+     ("0x1.ffbf754e12976p-1", "-0x1.7faff9d58c9c0p-6")),
+    (("-0x1.aee2e043e40c8p-2", "-0x1.06e23403b2778p-2"),
+     ("0x1.7599d0508f1a0p-2", "-0x1.8782ad3af9680p-4"),
+     ("0x1.fed15bedfd25ep-1", "0x1.fc450ca797980p-7")),
+    (("0x1.f140bd158e60ap-1", "-0x1.cdf7f8e327e40p-6"),
+     ("0x1.14a398090a5e0p-3", "0x1.a89b2ddce7d3cp-2"),
+     ("-0x1.273fb46c2dea6p-1", "0x1.a11b8036307c0p-1")),
+    (("-0x1.3a2ca2ba9ae8ep-1", "-0x1.929cb66779314p-2"),
+     ("-0x1.44f96cff0b1bcp-2", "0x1.740eea568f2a0p-4"),
+     ("0x1.04f89c54bd8c4p-2", "0x1.eddd876ef6e6cp-1")),
+    (("0x1.64f607f438b10p-4", "0x1.b782111705748p-1"),
+     ("-0x1.43a7d57115418p-3", "0x1.37f9bc651a858p-1"),
+     ("-0x1.ee3e675dbb33cp-1", "0x1.0b4ea01915118p-2")),
+    (("-0x1.61f94ec36f63ep-1", "0x1.2bfe8f98640f2p-1"),
+     ("-0x1.0a8318d99b63ap-1", "-0x1.bd5ccbfae8018p-3"),
+     ("-0x1.41cd9832dbef4p-2", "-0x1.e6071bcdc6b50p-1")),
+    (("0x1.bc3d17f8c8848p-3", "0x1.8e36271f9503cp-2"),
+     ("-0x1.f86adcc0734ecp-2", "-0x1.97725f9e51f40p-4"),
+     ("-0x1.e2a41414d3152p-1", "-0x1.558b86992c44cp-2")),
+    (("0x1.0ab6e30b6681cp-1", "0x1.9693a56c29800p-1"),
+     ("0x1.8a8aa22cadd94p-2", "-0x1.ab14a9f36587cp-2"),
+     ("0x1.63565788147d8p-2", "-0x1.e02a9176aaf26p-1")),
+]
+
+
+@pytest.mark.parametrize("triple", BALL_TRIPLES_NEAR_THE_OLD_GATE,
+                         ids=["default-1", "default-2", "default-3", "sixteenth-21",
+                              "sixteenth-89", "sixteenth-115", "sixteenth-127",
+                              "sixteenth-195"])
+def test_ball_triples_with_close_hits_are_not_aligned(ball, triple):
+    x, y, z = ([float.fromhex(c) for c in p] for p in triple)
+    rep = triangle_report(ball, x, y, z)
+    assert rep.defect > 0.0
+    assert not rep.aligned
+
+
+def test_three_points_of_a_line_are_aligned():
+    segment = HPolytope.box([-1.0], [1.0])
+    rep = triangle_report(segment, [-0.5], [0.4], [0.1])
+    assert rep.aligned
+
+
 def test_triangle_report_rejects_coincident_points(square):
     with pytest.raises(GeometryError):
         triangle_report(square, [0.1, 0.1], [0.1, 0.1], [0.5, 0.0])

@@ -413,13 +413,13 @@ def _sample_interior_per_point(domain, rng, m, bound=1.7, min_margin=1e-6):
     return np.array(out)
 
 
-def _interior_samples_per_point(domain, k, rng, reach=1e3):
+def _interior_samples_per_point(domain, k, rng):
     p = domain.base_point()
     out = np.empty((k, domain.dim))
     for i in range(k):
         u = rng.standard_normal(domain.dim)
         u /= np.linalg.norm(u)
-        t_max = min(domain.ray_boundary(p, p + u).t, reach)
+        t_max = min(domain.ray_boundary(p, p + u).t, 1e3)
         out[i] = p + (0.999 * rng.random() ** (1.0 / domain.dim) * t_max) * u
     return out
 
