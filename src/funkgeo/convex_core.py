@@ -210,12 +210,9 @@ class ConvexDomain:
         validation sampling, not integration.
         """
         p = self.base_point()
-        U = np.empty((k, self.dim))
-        frac = np.empty(k)
-        for i in range(k):  # one direction, then one radius, per point
-            u = rng.standard_normal(self.dim)
-            U[i] = u / np.linalg.norm(u)
-            frac[i] = rng.random() ** (1.0 / self.dim)
+        U = rng.standard_normal((k, self.dim))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        frac = rng.random(k) ** (1.0 / self.dim)
         t_max = np.minimum(self._exits(np.broadcast_to(p, U.shape), p + U), 1e3)
         return p + (0.999 * frac * t_max)[:, None] * U
 

@@ -73,11 +73,22 @@ class _anchored:
         return False
 
 
-def _number_list(obj, src: _Source, key: str, length: int | None = None) -> np.ndarray:
+def _has_bool(obj) -> bool:
+    return isinstance(obj, bool) or (isinstance(obj, list) and any(map(_has_bool, obj)))
+
+
+def _array(obj, src: _Source, key: str, shape: str) -> np.ndarray:
+    # numpy would read JSON true and false as 1.0 and 0.0
+    if _has_bool(obj):
+        raise src.fail(key, f'"{key}" must hold numbers, not true or false')
     try:
-        arr = np.asarray(obj, dtype=float)
+        return np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
-        raise src.fail(key, f'"{key}" must be a list of numbers') from None
+        raise src.fail(key, f'"{key}" must be {shape}') from None
+
+
+def _number_list(obj, src: _Source, key: str, length: int | None = None) -> np.ndarray:
+    arr = _array(obj, src, key, "a list of numbers")
     if arr.ndim != 1:
         raise src.fail(key, f'"{key}" must be a flat list of numbers')
     if not np.all(np.isfinite(arr)):
@@ -111,10 +122,7 @@ def _build(obj, src: _Source) -> ConvexDomain:
         if inner is None:
             raise src.fail("inner", 'affine_image needs an "inner" domain')
         translation = _number_list(obj.get("translation"), src, "translation", dim)
-        try:
-            M = np.asarray(obj.get("matrix"), dtype=float)
-        except (TypeError, ValueError):
-            raise src.fail("matrix", '"matrix" must be a numeric matrix') from None
+        M = _array(obj.get("matrix"), src, "matrix", "a numeric matrix")
         if M.shape != (dim, dim):
             raise src.fail("matrix", f'"matrix" must be {dim}x{dim}')
         inner_domain = _build(inner, src)

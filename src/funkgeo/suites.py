@@ -1,17 +1,21 @@
 """Reproducible property suites.
 
-Each suite exercises one group of invariants at desk scale and returns a
-list of check results; :func:`run_suite` wraps them in a deterministic
-report (seed, tolerance and count overrides, one pass/fail entry per
-check).  Checks are independent of each other and always executed and
-reported in definition order, so reports are byte-stable for a fixed
-seed apart from the single run-metadata line.
+Each suite exercises one group of invariants at desk scale.  It is a
+generator that yields its checks one by one, and :func:`run_suite` wraps
+them in a deterministic report (seed, tolerance and count overrides, one
+pass/fail entry per check).  Check k of a suite draws from its own random
+stream, ``np.random.default_rng([seed, salt, k])`` with the suite's salt
+from :data:`SUITES`, so a change to one check's draws moves only its own
+report entry, and those of the checks that reuse its samples.  Checks are
+always executed and reported in definition order, so reports are
+byte-stable for a fixed seed apart from the single run-metadata line.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +84,6 @@ class RunConfig:
     counts: dict = field(default_factory=dict)
     read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
-    def rng(self, salt: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, salt])
-
     def tol(self, key: str, default: float) -> float:
         self.read.add(("tol", key))
         return float(self.tolerances.get(key, default))
@@ -90,6 +91,11 @@ class RunConfig:
     def count(self, key: str, default: int) -> int:
         self.read.add(("count", key))
         return int(self.counts.get(key, default))
+
+
+# A suite: sent each check's generator, it yields that check's result.  The
+# quotes keep numpy from loading numpy.random when this module is imported.
+Checks = Generator[CheckResult, "np.random.Generator", None]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +187,8 @@ def _intersect_lines(p0, d0, p1, d1):
 # suites
 
 
-def suite_convex_core(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(1)
+def suite_convex_core(cfg: RunConfig) -> Checks:
+    rng = yield
     square = unit_square()
     ball = unit_ball()
     rotated = AffineImage(square, random_affine_map(rng, 2))
@@ -203,8 +208,8 @@ def suite_convex_core(cfg: RunConfig) -> list[CheckResult]:
             if not hit.at_infinity:
                 worst = max(worst, abs(domain.contains(hit.point)))
     gate = cfg.tol("convex_core.boundary", tol.EPS_BD)
-    checks.append(CheckResult("ray_cast_boundary_consistency", worst <= gate,
-                              {"max_abs_margin": worst, "tolerance": gate}))
+    rng = yield CheckResult("ray_cast_boundary_consistency", worst <= gate,
+                            {"max_abs_margin": worst, "tolerance": gate})
 
     trials = cfg.count("convex_core.monotone", 300)
     ok = True
@@ -227,8 +232,8 @@ def suite_convex_core(cfg: RunConfig) -> list[CheckResult]:
                 np.inf if np.isfinite(t_new) and not np.isfinite(t_old) else 0.0)
             worst_jump = max(worst_jump, jump)
             ok = ok and (jump <= 1e-12)
-    checks.append(CheckResult("hit_parameter_monotone_in_slack", ok,
-                              {"max_increase": worst_jump, "trials": trials}))
+    rng = yield CheckResult("hit_parameter_monotone_in_slack", ok,
+                            {"max_increase": worst_jump, "trials": trials})
 
     trials = cfg.count("convex_core.equivariance", 300)
     worst = 0.0
@@ -247,8 +252,8 @@ def suite_convex_core(cfg: RunConfig) -> list[CheckResult]:
         if not hit.at_infinity:
             worst = max(worst, float(np.linalg.norm(hit_img.point - amap(hit.point))))
     gate = cfg.tol("convex_core.equivariance", tol.EPS_GEOM)
-    checks.append(CheckResult("affine_equivariance_of_ray_cast", worst <= gate,
-                              {"max_point_gap": worst, "tolerance": gate}))
+    rng = yield CheckResult("affine_equivariance_of_ray_cast", worst <= gate,
+                            {"max_point_gap": worst, "tolerance": gate})
 
     n = cfg.count("convex_core.support", 10_000)
     worst = -np.inf
@@ -266,8 +271,8 @@ def suite_convex_core(cfg: RunConfig) -> list[CheckResult]:
         for a in boundary[:20]:
             h = supporting_functional(domain, a)
             worst = max(worst, float(np.max(samples @ h.coeffs + h.offset)))
-    checks.append(CheckResult("supporting_functional_below_one", worst < 1.0 + tol.EPS_BD,
-                              {"max_value_on_interior": worst}))
+    rng = yield CheckResult("supporting_functional_below_one", worst < 1.0 + tol.EPS_BD,
+                            {"max_value_on_interior": worst})
 
     trials = cfg.count("convex_core.intersection", 400)
     worst = 0.0
@@ -281,14 +286,12 @@ def suite_convex_core(cfg: RunConfig) -> list[CheckResult]:
         t_min = min(p.ray_boundary(x, y).t for p in parts)
         worst = max(worst, abs(t_both - t_min))
     gate = cfg.tol("convex_core.intersection", tol.EPS_GEOM)
-    checks.append(CheckResult("intersection_hit_is_min_of_children", worst <= gate,
-                              {"max_parameter_gap": worst, "tolerance": gate}))
-    return checks
+    rng = yield CheckResult("intersection_hit_is_min_of_children", worst <= gate,
+                            {"max_parameter_gap": worst, "tolerance": gate})
 
 
-def suite_oracle_closedform(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(2)
+def suite_oracle_closedform(cfg: RunConfig) -> Checks:
+    rng = yield
     per_dim = cfg.count("oracle.pairs_per_dim", 2500)
     gate = cfg.tol("oracle.agreement", 1e-9)
 
@@ -302,9 +305,9 @@ def suite_oracle_closedform(cfg: RunConfig) -> list[CheckResult]:
         for x, y in zip(X, Y):
             worst = max(worst, abs(funk_polytope_closed_form(poly, x, y)
                                    - funk(poly, x, y)))
-    checks.append(CheckResult("polytope_closed_form_matches_ray_cast", worst <= gate,
-                              {"max_gap": worst, "tolerance": gate,
-                               "pairs": 4 * per_dim}))
+    rng = yield CheckResult("polytope_closed_form_matches_ray_cast", worst <= gate,
+                            {"max_gap": worst, "tolerance": gate,
+                             "pairs": 4 * per_dim})
 
     worst = 0.0
     for dim in (2, 3, 4, 5):
@@ -313,15 +316,13 @@ def suite_oracle_closedform(cfg: RunConfig) -> list[CheckResult]:
         Y = sample_interior(ball, rng, per_dim, bound=1.0)
         for x, y, f in zip(X, Y, funk_batch(ball, X, Y)):
             worst = max(worst, abs(funk_unit_ball_closed_form(x, y) - f))
-    checks.append(CheckResult("unit_ball_closed_form_matches_ray_cast", worst <= gate,
-                              {"max_gap": worst, "tolerance": gate,
-                               "pairs": 4 * per_dim}))
-    return checks
+    rng = yield CheckResult("unit_ball_closed_form_matches_ray_cast", worst <= gate,
+                            {"max_gap": worst, "tolerance": gate,
+                             "pairs": 4 * per_dim})
 
 
-def suite_axioms(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(3)
+def suite_axioms(cfg: RunConfig) -> Checks:
+    rng = yield
     total = cfg.count("axioms.triples", 100_000)
     domains = [(unit_square(), 1.0), (random_polytope(rng, 3), 1.6),
                (unit_ball(), 1.0)]
@@ -342,11 +343,11 @@ def suite_axioms(cfg: RunConfig) -> list[CheckResult]:
         min_value = min(min_value, float(np.min([fxy.min(), fyz.min(), fxz.min()])))
         max_violation = max(max_violation, float(np.max(fxz - fxy - fyz)))
     gate = cfg.tol("axioms.triangle_slack", 1e-12)
-    checks.append(CheckResult("nonnegativity", min_value >= 0.0,
-                              {"min_value": min_value, "triples": total}))
-    checks.append(CheckResult("triangle_inequality", max_violation <= gate,
-                              {"max_violation": max_violation, "tolerance": gate,
-                               "triples": total}))
+    rng = yield CheckResult("nonnegativity", min_value >= 0.0,
+                            {"min_value": min_value, "triples": total})
+    rng = yield CheckResult("triangle_inequality", max_violation <= gate,
+                            {"max_violation": max_violation, "tolerance": gate,
+                             "triples": total})
 
     n_proj = cfg.count("axioms.projectivity", 10_000)
     worst = 0.0
@@ -359,9 +360,9 @@ def suite_axioms(cfg: RunConfig) -> list[CheckResult]:
                      - funk_batch(domain, X, Z) - funk_batch(domain, Z, Y))
         worst = max(worst, float(np.max(gap)))
     gate = cfg.tol("axioms.projectivity", 1e-9)
-    checks.append(CheckResult("projectivity_on_segments", worst <= gate,
-                              {"max_gap": worst, "tolerance": gate,
-                               "triples": n_proj}))
+    rng = yield CheckResult("projectivity_on_segments", worst <= gate,
+                            {"max_gap": worst, "tolerance": gate,
+                             "triples": n_proj})
 
     n_sep = cfg.count("axioms.separation", 5000)
     min_f = np.inf
@@ -374,17 +375,15 @@ def suite_axioms(cfg: RunConfig) -> list[CheckResult]:
     X = np.column_stack([rng.uniform(-3, 3, 200), rng.uniform(0.2, 3.0, 200)])
     Y = X + np.column_stack([rng.uniform(0.1, 2.0, 200), np.zeros(200)])
     parallel = funk_batch(half_plane, X, Y)
-    checks.append(CheckResult(
+    rng = yield CheckResult(
         "separation_iff_bounded",
         min_f > 0.0 and float(np.max(np.abs(parallel))) == 0.0,
         {"min_bounded_value": min_f,
-         "max_parallel_value": float(np.max(np.abs(parallel)))}))
-    return checks
+         "max_parallel_value": float(np.max(np.abs(parallel)))})
 
 
-def suite_monotonicity(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(4)
+def suite_monotonicity(cfg: RunConfig) -> Checks:
+    rng = yield
     pairs = cfg.count("monotonicity.pairs", 4000)
 
     worst = -np.inf
@@ -395,8 +394,8 @@ def suite_monotonicity(cfg: RunConfig) -> list[CheckResult]:
         Y = sample_interior(inner, rng, pairs // 2, bound=1.6, min_margin=1e-2)
         worst = max(worst, float(np.max(funk_batch(outer, X, Y)
                                         - funk_batch(inner, X, Y))))
-    checks.append(CheckResult("smaller_domain_larger_distance", worst <= 1e-12,
-                              {"max_violation": worst}))
+    rng = yield CheckResult("smaller_domain_larger_distance", worst <= 1e-12,
+                            {"max_violation": worst})
 
     square = unit_square()
     disk = EuclideanBall([0.3, 0.0], 1.1)
@@ -406,8 +405,8 @@ def suite_monotonicity(cfg: RunConfig) -> list[CheckResult]:
     worst = float(np.max(np.abs(funk_batch(both, X, Y) - np.maximum(
         funk_batch(square, X, Y), funk_batch(disk, X, Y)))))
     gate = cfg.tol("monotonicity.intersection", 1e-9)
-    checks.append(CheckResult("intersection_distance_is_max", worst <= gate,
-                              {"max_gap": worst, "tolerance": gate}))
+    rng = yield CheckResult("intersection_distance_is_max", worst <= gate,
+                            {"max_gap": worst, "tolerance": gate})
 
     box3 = HPolytope.box([-1.0, -1.2, -0.9], [1.1, 1.0, 1.3])
     origin = np.array([0.1, 0.0, 0.05])
@@ -420,15 +419,13 @@ def suite_monotonicity(cfg: RunConfig) -> list[CheckResult]:
     gap = np.abs(funk_batch(slice_poly, Xp, Yp)
                  - funk_batch(box3, ambient_x, ambient_y))
     gate = cfg.tol("monotonicity.slice", 1e-9)
-    checks.append(CheckResult("plane_slice_inherits_distance",
-                              float(np.max(gap)) <= gate,
-                              {"max_gap": float(np.max(gap)), "tolerance": gate}))
-    return checks
+    rng = yield CheckResult("plane_slice_inherits_distance",
+                            float(np.max(gap)) <= gate,
+                            {"max_gap": float(np.max(gap)), "tolerance": gate})
 
 
-def suite_invariance(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(5)
+def suite_invariance(cfg: RunConfig) -> Checks:
+    rng = yield
     square = unit_square()
     maps = cfg.count("invariance.affine_maps", 1000)
     pairs_per_map = cfg.count("invariance.pairs_per_map", 8)
@@ -442,8 +439,8 @@ def suite_invariance(cfg: RunConfig) -> list[CheckResult]:
         Y = sample_interior(square, rng, pairs_per_map, bound=1.0)
         gap = np.abs(funk_batch(image, amap(X), amap(Y)) - funk_batch(square, X, Y))
         worst = max(worst, float(np.max(gap)))
-    checks.append(CheckResult("funk_affine_invariance", worst <= gate,
-                              {"max_gap": worst, "maps": maps, "tolerance": gate}))
+    rng = yield CheckResult("funk_affine_invariance", worst <= gate,
+                            {"max_gap": worst, "maps": maps, "tolerance": gate})
 
     proj_maps = cfg.count("invariance.projective_maps", 1000)
     gate_h = cfg.tol("invariance.hilbert", 1e-9)
@@ -460,17 +457,15 @@ def suite_invariance(cfg: RunConfig) -> list[CheckResult]:
         for x, y in zip(X, Y):
             xi, yi = apply_projective(P, np.vstack([x, y]))
             worst = max(worst, abs(hilbert(image, xi, yi) - hilbert(square, x, y)))
-    checks.append(CheckResult("hilbert_projective_invariance", worst <= gate_h,
-                              {"max_gap": worst, "maps": proj_maps,
-                               "tolerance": gate_h}))
+    rng = yield CheckResult("hilbert_projective_invariance", worst <= gate_h,
+                            {"max_gap": worst, "maps": proj_maps,
+                             "tolerance": gate_h})
 
-    n = cfg.count("invariance.symmetry_pairs", 10_000)
-    X = sample_interior(square, rng, n, bound=1.0)
-    Y = sample_interior(square, rng, n, bound=1.0)
     hil_gap = 0.0
-    for x, y in zip(X[:200], Y[:200]):
+    for x, y in zip(sample_interior(square, rng, 200, bound=1.0),
+                    sample_interior(square, rng, 200, bound=1.0)):
         hil_gap = max(hil_gap, abs(hilbert(square, x, y) - hilbert(square, y, x)))
-    checks.append(CheckResult("hilbert_symmetry", hil_gap <= 1e-12, {"max_gap": hil_gap}))
+    rng = yield CheckResult("hilbert_symmetry", hil_gap <= 1e-12, {"max_gap": hil_gap})
 
     polys = [unit_square(), random_polygon(rng)]
     worst = -np.inf
@@ -485,8 +480,8 @@ def suite_invariance(cfg: RunConfig) -> list[CheckResult]:
             rf = funk_batch(poly, Y, np.tile(x, (len(Y), 1)))
             worst = max(worst, float(np.max(rf)) - bound)
     gate_rb = cfg.tol("invariance.reverse_bound", 1e-9)
-    checks.append(CheckResult("reverse_funk_diameter_bound", worst <= gate_rb,
-                              {"max_excess": worst, "tolerance": gate_rb}))
+    rng = yield CheckResult("reverse_funk_diameter_bound", worst <= gate_rb,
+                            {"max_excess": worst, "tolerance": gate_rb})
 
     n = cfg.count("invariance.orthant_pairs", 10_000)
     worst = 0.0
@@ -498,14 +493,12 @@ def suite_invariance(cfg: RunConfig) -> list[CheckResult]:
         mapped = np.array([minkowski_max_distance(np.log(x), np.log(y))
                            for x, y in zip(X, Y)])
         worst = max(worst, float(np.max(np.abs(direct - mapped))))
-    checks.append(CheckResult("orthant_log_isometry", worst <= 1e-12,
-                              {"max_gap": worst, "pairs": n}))
-    return checks
+    rng = yield CheckResult("orthant_log_isometry", worst <= 1e-12,
+                            {"max_gap": worst, "pairs": n})
 
 
-def suite_completeness(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(6)
+def suite_completeness(cfg: RunConfig) -> Checks:
+    rng = yield
     square = unit_square()
     b = np.array([-1.0, 0.0])
     a = np.array([1.0, 0.0])
@@ -527,11 +520,11 @@ def suite_completeness(cfg: RunConfig) -> list[CheckResult]:
     limit_is_boundary = abs(square.contains(b)) <= tol.EPS_BD \
         and np.linalg.norm(chord(horizon) - b) < 1e-3
     gate = cfg.tol("completeness.tail", 1e-3)
-    checks.append(CheckResult(
+    rng = yield CheckResult(
         "backward_cauchy_chord_tail", sups[1000] < gate and decreasing
         and limit_is_boundary,
         {"tail_sup_at_k1000": sups[1000], "tolerance": gate,
-         "sups": {str(k): v for k, v in sups.items()}, "horizon": horizon}))
+         "sups": {str(k): v for k, v in sups.items()}, "horizon": horizon})
 
     configs = cfg.count("completeness.ball_configs", 50)
     ok = True
@@ -547,14 +540,12 @@ def suite_completeness(cfg: RunConfig) -> list[CheckResult]:
             worst_margin = min(worst_margin, float(margins.min()))
             ok = ok and bool(np.all(margins > 0.0)) \
                 and bool(np.all(np.linalg.norm(pts - x, axis=1) <= outer + 1e-9))
-    checks.append(CheckResult("forward_balls_relatively_compact", ok,
-                              {"min_interior_margin": worst_margin}))
-    return checks
+    rng = yield CheckResult("forward_balls_relatively_compact", ok,
+                            {"min_interior_margin": worst_margin})
 
 
-def suite_ratio(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(7)
+def suite_ratio(cfg: RunConfig) -> Checks:
+    rng = yield
     n = cfg.count("ratio.configs", 10_000)
     gate = cfg.tol("ratio.round_trip", 1e-10)
 
@@ -580,10 +571,10 @@ def suite_ratio(cfg: RunConfig) -> list[CheckResult]:
         worst_rt = max(worst_rt, abs(distance_from_ratio(fxy, t_back) - fxz))
         worst_fwd = max(worst_fwd, abs(distance_from_ratio(fxy, t) - fxz))
         done += 1
-    checks.append(CheckResult("ratio_round_trip", worst_rt <= gate,
-                              {"max_gap": worst_rt, "configs": n, "tolerance": gate}))
-    checks.append(CheckResult("distance_from_geometric_ratio", worst_fwd <= gate,
-                              {"max_gap": worst_fwd, "tolerance": gate}))
+    rng = yield CheckResult("ratio_round_trip", worst_rt <= gate,
+                            {"max_gap": worst_rt, "configs": n, "tolerance": gate})
+    rng = yield CheckResult("distance_from_geometric_ratio", worst_fwd <= gate,
+                            {"max_gap": worst_fwd, "tolerance": gate})
 
     t_val = ratio_from_distances(math.log(2.0), math.log(4.0))
     back = distance_from_ratio(math.log(2.0), 1.5)
@@ -592,14 +583,12 @@ def suite_ratio(cfg: RunConfig) -> list[CheckResult]:
               and abs(ratio_from_distances(math.log(2.0), 0.0)) <= 1e-12
               and abs(distance_from_ratio(math.log(2.0), 1.0) - math.log(2.0)) <= 1e-12
               and abs(distance_from_ratio(math.log(2.0), 0.0)) <= 1e-12)
-    checks.append(CheckResult("worked_ratio_instance", worked,
-                              {"t": t_val, "recovered_distance": back}))
-    return checks
+    rng = yield CheckResult("worked_ratio_instance", worked,
+                            {"t": t_val, "recovered_distance": back})
 
 
-def suite_balls(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(8)
+def suite_balls(cfg: RunConfig) -> Checks:
+    rng = yield
     square = unit_square()
     ball = unit_ball()
     gate = cfg.tol("balls.radius", 1e-8)
@@ -615,8 +604,8 @@ def suite_balls(cfg: RunConfig) -> list[CheckResult]:
                             seed=cfg.seed)
         gap = np.abs(funk_batch(domain, np.tile(x, (len(pts), 1)), pts) - rho)
         worst = max(worst, float(np.max(gap)))
-    checks.append(CheckResult("forward_sphere_at_exact_radius", worst <= gate,
-                              {"max_gap": worst, "tolerance": gate}))
+    rng = yield CheckResult("forward_sphere_at_exact_radius", worst <= gate,
+                            {"max_gap": worst, "tolerance": gate})
 
     x0 = np.array([0.3, -0.2])
     rho = 0.7
@@ -625,11 +614,11 @@ def suite_balls(cfg: RunConfig) -> list[CheckResult]:
     center_gap = float(np.linalg.norm(realized.center - math.exp(-rho) * x0))
     radius_gap = abs(realized.radius - (1.0 - math.exp(-rho)))
     gate_b = cfg.tol("balls.unit_ball_form", 1e-9)
-    checks.append(CheckResult(
+    rng = yield CheckResult(
         "unit_ball_forward_ball_is_euclidean",
         isinstance(realized, EuclideanBall)
         and center_gap <= gate_b and radius_gap <= gate_b,
-        {"center_gap": center_gap, "radius_gap": radius_gap}))
+        {"center_gap": center_gap, "radius_gap": radius_gap})
 
     x1 = np.array([0.2, 0.1])
     x2 = np.array([-0.4, 0.3])
@@ -641,23 +630,23 @@ def suite_balls(cfg: RunConfig) -> list[CheckResult]:
     # Composite of the two homotheties: the dilation carrying ball 1 to 2.
     Q = x2 + lam2 * (x1 - x2) + (lam2 / lam1) * (sphere_sample(b1, 64, seed=cfg.seed) - x1)
     worst = float(np.max(np.abs(b2.realized._margins(Q))))
-    checks.append(CheckResult("forward_balls_similar", worst <= tol.EPS_GEOM,
-                              {"max_boundary_margin": worst}))
+    rng = yield CheckResult("forward_balls_similar", worst <= tol.EPS_GEOM,
+                            {"max_boundary_margin": worst})
 
     fb = forward_ball(square, np.array([0.2, -0.3]), 0.8)
     pts = sphere_sample(fb, 200, seed=cfg.seed)
     mids = 0.5 * (pts + pts[rng.permutation(len(pts))])
     min_margin = float(fb.realized._margins(mids).min())
-    checks.append(CheckResult("forward_balls_convex", min_margin >= -tol.EPS_GEOM,
-                              {"min_midpoint_margin": min_margin}))
+    rng = yield CheckResult("forward_balls_convex", min_margin >= -tol.EPS_GEOM,
+                            {"min_midpoint_margin": min_margin})
 
     bb = backward_ball(square, np.zeros(2), math.log(2.0))
     pts = sample_interior(square, rng, 300, bound=1.0)
     equal = bool(np.all((bb.realized._margins(pts) > 0.0) == (square._margins(pts) > 0.0)))
     bb_large = backward_ball(square, np.array([0.4, -0.2]), 4.0)
     covered = bool(np.all(bb_large.realized._margins(pts) > 0.0))
-    checks.append(CheckResult("backward_ball_saturates_to_domain",
-                              equal and covered, {"samples": len(pts)}))
+    rng = yield CheckResult("backward_ball_saturates_to_domain",
+                            equal and covered, {"samples": len(pts)})
 
     x = np.array([0.3, 0.2])
     rho = 0.5
@@ -668,21 +657,19 @@ def suite_balls(cfg: RunConfig) -> list[CheckResult]:
         if bb.radius_is_certified(p):
             certified += 1
             worst = max(worst, abs(funk(square, p, x) - rho))
-    checks.append(CheckResult("backward_sphere_radius_on_homothet_side",
-                              certified > 0 and worst <= gate,
-                              {"max_gap": worst, "certified_points": certified}))
+    rng = yield CheckResult("backward_sphere_radius_on_homothet_side",
+                            certified > 0 and worst <= gate,
+                            {"max_gap": worst, "certified_points": certified})
 
     tiny = forward_ball(square, np.zeros(2), 1e-6)
     spread = float(np.max(np.linalg.norm(
         sphere_sample(tiny, 16, seed=cfg.seed), axis=1)))
-    checks.append(CheckResult("forward_ball_shrinks_to_center", spread <= 2e-6,
-                              {"max_distance": spread}))
-    return checks
+    rng = yield CheckResult("forward_ball_shrinks_to_center", spread <= 2e-6,
+                            {"max_distance": spread})
 
 
-def suite_sandwich(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(9)
+def suite_sandwich(cfg: RunConfig) -> Checks:
+    rng = yield
     configs = cfg.count("sandwich.configs", 100)
     polys = [unit_square(), random_polygon(rng),
              HPolytope.box([-0.8, -1.1, -0.9], [1.2, 0.9, 1.0])]
@@ -705,10 +692,10 @@ def suite_sandwich(cfg: RunConfig) -> list[CheckResult]:
                                                  seed=cfg.seed) - x, axis=1)
                 bwd_ok = bwd_ok and bool(np.all((lo - 1e-9 <= r) & (r <= hi + 1e-9)))
                 bwd_excess = max(bwd_excess, float(np.max(lo - r)), float(np.max(r - hi)))
-    checks.append(CheckResult("forward_sphere_inside_euclidean_annulus", fwd_ok,
-                              {"max_excess": fwd_excess, "configs": configs}))
-    checks.append(CheckResult("backward_sphere_inside_euclidean_annulus", bwd_ok,
-                              {"max_excess": bwd_excess}))
+    rng = yield CheckResult("forward_sphere_inside_euclidean_annulus", fwd_ok,
+                            {"max_excess": fwd_excess, "configs": configs})
+    rng = yield CheckResult("backward_sphere_inside_euclidean_annulus", bwd_ok,
+                            {"max_excess": bwd_excess})
 
     sq = unit_square()
     c1 = sandwich(sq, np.zeros(2))
@@ -717,9 +704,8 @@ def suite_sandwich(cfg: RunConfig) -> list[CheckResult]:
              and abs(c1.Lambda_x - math.sqrt(2.0)) <= 1e-12
              and abs(c2.lambda_x - 0.5) <= 1e-12
              and abs(c2.Lambda_x - math.sqrt(1.5 ** 2 + 1.0)) <= 1e-12)
-    checks.append(CheckResult("square_constants_exact", exact,
-                              {"lambda_center": c1.lambda_x, "Lambda_center": c1.Lambda_x}))
-    return checks
+    rng = yield CheckResult("square_constants_exact", exact,
+                            {"lambda_center": c1.lambda_x, "Lambda_center": c1.Lambda_x})
 
 
 def _edge_aligned_triple(rng: np.random.Generator) -> tuple:
@@ -735,9 +721,8 @@ def _edge_aligned_triple(rng: np.random.Generator) -> tuple:
     return x, y, z
 
 
-def suite_triangle(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(10)
+def suite_triangle(cfg: RunConfig) -> Checks:
+    rng = yield
     square = unit_square()
     ball = unit_ball()
     gate = cfg.tol("triangle.defect", 1e-9)
@@ -750,9 +735,9 @@ def suite_triangle(cfg: RunConfig) -> list[CheckResult]:
         rep = triangle_report(square, x, y, z)
         worst_defect = max(worst_defect, abs(rep.defect))
         aligned_all = aligned_all and rep.aligned
-    checks.append(CheckResult("square_edge_triples_reach_equality",
-                              worst_defect <= gate and aligned_all,
-                              {"max_defect": worst_defect, "triples": n_edge}))
+    rng = yield CheckResult("square_edge_triples_reach_equality",
+                            worst_defect <= gate and aligned_all,
+                            {"max_defect": worst_defect, "triples": n_edge})
 
     # Near-collinear triples are regenerated: the hits of an almost-straight
     # triple cluster on a short boundary arc, whose deviation from a line is
@@ -779,11 +764,11 @@ def suite_triangle(cfg: RunConfig) -> list[CheckResult]:
         if rep.aligned or rep.defect <= 0.0:
             misclassified += 1
         done += 1
-    checks.append(CheckResult("ball_triples_strictly_inside_inequality",
-                              misclassified == 0,
-                              {"min_defect": min_defect, "triples": n_ball,
-                               "misclassified": misclassified,
-                               "redrawn_near_collinear": redrawn}))
+    rng = yield CheckResult("ball_triples_strictly_inside_inequality",
+                            misclassified == 0,
+                            {"min_defect": min_defect, "triples": n_ball,
+                             "misclassified": misclassified,
+                             "redrawn_near_collinear": redrawn})
 
     # In a strictly convex domain only collinear triples reach equality, so
     # nudging the middle point off the chord must produce a visible defect.
@@ -799,14 +784,12 @@ def suite_triangle(cfg: RunConfig) -> list[CheckResult]:
         y_off = x + rng.uniform(0.3, 0.7) * (z - x) + 1e-2 * normal
         rep = triangle_report(ball, x, y_off, z)
         min_pert = min(min_pert, rep.defect)
-    checks.append(CheckResult("perturbation_breaks_equality", min_pert > 1e-6,
-                              {"min_defect": min_pert}))
-    return checks
+    rng = yield CheckResult("perturbation_breaks_equality", min_pert > 1e-6,
+                            {"min_defect": min_pert})
 
 
-def suite_geodesic(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(11)
+def suite_geodesic(cfg: RunConfig) -> Checks:
+    rng = yield
     square = unit_square()
     ball = unit_ball()
     right_edge = next(iter(square.active_face(np.array([1.0, 0.0]))))
@@ -825,9 +808,9 @@ def suite_geodesic(cfg: RunConfig) -> list[CheckResult]:
             cone_ok = cone_ok and cone_member(square, cone, y - x)
             cone_ok = cone_ok and cone_member(
                 square, FaceCone(base=y, face=witness), z - y)
-    checks.append(CheckResult("square_face_aligned_polylines_are_geodesic",
-                              all_pass, {"polylines": n}))
-    checks.append(CheckResult("geodesics_admit_face_cone_witness", cone_ok, {}))
+    rng = yield CheckResult("square_face_aligned_polylines_are_geodesic",
+                            all_pass, {"polylines": n})
+    rng = yield CheckResult("geodesics_admit_face_cone_witness", cone_ok, {})
 
     n_ball = cfg.count("geodesic.ball_polylines", 1000)
     bent_fail = True
@@ -840,8 +823,8 @@ def suite_geodesic(cfg: RunConfig) -> list[CheckResult]:
         ok, defect = verify_geodesic(ball, [pts[0], pts[1], pts[2]])
         bent_fail = bent_fail and (not ok) and defect > 0.0
         done += 1
-    checks.append(CheckResult("ball_bent_polylines_never_geodesic", bent_fail,
-                              {"polylines": n_ball}))
+    rng = yield CheckResult("ball_bent_polylines_never_geodesic", bent_fail,
+                            {"polylines": n_ball})
 
     x = np.array([-0.5, 0.5])
     y = np.array([0.0, 0.6])
@@ -849,11 +832,11 @@ def suite_geodesic(cfg: RunConfig) -> list[CheckResult]:
     ok_h, defect_h = verify_hilbert_geodesic(square, [x, y, z])
     fwd = polyline_face_witness(square, [x, y, z])
     bwd = polyline_face_witness(square, [x, y, z], reverse=True)
-    checks.append(CheckResult("hilbert_geodesic_needs_two_faces",
-                              ok_h and bool(fwd) and bool(bwd),
-                              {"defect": defect_h,
-                               "forward_face": sorted(fwd),
-                               "backward_face": sorted(bwd)}))
+    rng = yield CheckResult("hilbert_geodesic_needs_two_faces",
+                            ok_h and bool(fwd) and bool(bwd),
+                            {"defect": defect_h,
+                             "forward_face": sorted(fwd),
+                             "backward_face": sorted(bwd)})
 
     x2 = np.array([-0.5, 0.9])
     y2 = np.array([0.0, 0.5])
@@ -861,9 +844,9 @@ def suite_geodesic(cfg: RunConfig) -> list[CheckResult]:
     ok_f, _ = verify_geodesic(square, [x2, y2, z2])
     ok_h2, defect_h2 = verify_hilbert_geodesic(square, [x2, y2, z2])
     bwd2 = polyline_face_witness(square, [x2, y2, z2], reverse=True)
-    checks.append(CheckResult("one_sided_alignment_is_not_hilbert_geodesic",
-                              ok_f and not ok_h2 and not bwd2,
-                              {"hilbert_defect": defect_h2}))
+    rng = yield CheckResult("one_sided_alignment_is_not_hilbert_geodesic",
+                            ok_f and not ok_h2 and not bwd2,
+                            {"hilbert_defect": defect_h2})
 
     # Forward balls of a non-strictly-convex domain are not geodesically
     # convex: a bent geodesic joins two ball points through an outside point.
@@ -875,11 +858,11 @@ def suite_geodesic(cfg: RunConfig) -> list[CheckResult]:
                      + funk(square, anchor, py))
     fb = forward_ball(square, anchor, rho_mid)
     bent_ok, _ = verify_geodesic(square, [px, py, pz])
-    checks.append(CheckResult(
+    rng = yield CheckResult(
         "forward_balls_not_geodesically_convex_in_polytopes",
         bent_ok and fb.realized.contains(px) > 0.0
         and fb.realized.contains(pz) > 0.0 and fb.realized.contains(py) < 0.0,
-        {"radius": rho_mid}))
+        {"radius": rho_mid})
 
     n_pairs = cfg.count("geodesic.unique_pairs", 300)
     ball_unique = all(
@@ -891,15 +874,13 @@ def suite_geodesic(cfg: RunConfig) -> list[CheckResult]:
                                          np.array([0.5, 0.1]))
     corner_pair = unique_geodesic_pair(square, np.array([0.0, 0.0]),
                                        np.array([0.5, 0.5]))
-    checks.append(CheckResult("unique_geodesy_matches_exposedness",
-                              ball_unique and edge_pair and corner_pair,
-                              {"right_edge_index": right_edge}))
-    return checks
+    rng = yield CheckResult("unique_geodesy_matches_exposedness",
+                            ball_unique and edge_pair and corner_pair,
+                            {"right_edge_index": right_edge})
 
 
-def suite_projection(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(12)
+def suite_projection(cfg: RunConfig) -> Checks:
+    rng = yield
     square = unit_square()
     ball = unit_ball()
 
@@ -920,10 +901,10 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
         near = grid[values <= max(foot.distance, low) + 1e-9]
         worst_offset = max(worst_offset, float(np.max(np.abs(near - foot.param))))
     step = float(grid[1])
-    checks.append(CheckResult("ball_feet_optimal_and_unique",
-                              worst_excess <= 1e-11 and worst_offset <= step,
-                              {"max_excess": worst_excess, "max_offset": worst_offset,
-                               "grid_step": step}))
+    rng = yield CheckResult("ball_feet_optimal_and_unique",
+                            worst_excess <= 1e-11 and worst_offset <= step,
+                            {"max_excess": worst_excess, "max_offset": worst_offset,
+                             "grid_step": step})
 
     seg = (np.array([0.5, -0.25]), np.array([0.5, 0.25]))
     grid = np.linspace(0.0, 1.0, 101)
@@ -932,11 +913,11 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
     ties = np.flatnonzero(values <= values.min() + 1e-9)
     two_feet = ties.size >= 2 and (grid[ties[-1]] - grid[ties[0]]) > 0.5
     foot = nearest_on_segment(square, np.zeros(2), seg)
-    checks.append(CheckResult(
+    rng = yield CheckResult(
         "square_flat_sphere_gives_multiple_feet",
         two_feet and abs(foot.distance - math.log(2.0)) <= 1e-10
         and float(np.linalg.norm(foot.point - np.array([0.5, 0.0]))) <= 1e-6,
-        {"tie_count": int(ties.size), "foot": foot.point.tolist()}))
+        {"tie_count": int(ties.size), "foot": foot.point.tolist()})
 
     a_set = HPolytope([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                       [-0.5, 0.9, 0.9, 0.9],
@@ -946,10 +927,10 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
         square, np.zeros(2), half.point, a_set)
     halfspace_ok = (abs(half.distance - math.log(2.0)) <= 1e-9
                     and abs(half.point[0] - 0.5) <= 1e-8 and cert_ok)
-    checks.append(CheckResult("halfspace_target_foot_and_certificate",
-                              halfspace_ok,
-                              {"distance": half.distance,
-                               "foot": half.point.tolist()}))
+    rng = yield CheckResult("halfspace_target_foot_and_certificate",
+                            halfspace_ok,
+                            {"distance": half.distance,
+                             "foot": half.point.tolist()})
 
     n_conv = cfg.count("projection.convex_targets", 25)
     all_cert = True
@@ -969,10 +950,10 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
         if funk(square, x, far) > foot.distance + 1e-3:
             non_near_false = non_near_false and not foot_certificate(
                 square, x, far, target)
-    checks.append(CheckResult("nearest_on_convex_always_certifies", all_cert,
-                              {"targets": n_conv}))
-    checks.append(CheckResult("non_nearest_points_fail_certificate",
-                              non_near_false, {}))
+    rng = yield CheckResult("nearest_on_convex_always_certifies", all_cert,
+                            {"targets": n_conv})
+    rng = yield CheckResult("non_nearest_points_fail_certificate",
+                            non_near_false, {})
 
     # The LP's radius rho* is tight: the ball reaches A at rho* and not below
     # it, and rho* = -log(1 - s*) for the foot's gauge s* about the origin.
@@ -982,12 +963,12 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
             for r in rho_grid]
     monotone = all(not (feas[i] and not feas[i + 1]) for i in range(len(feas) - 1))
     gap = abs(rho + math.log1p(-np.max(square.A @ half.point / square.b)))
-    checks.append(CheckResult(
+    rng = yield CheckResult(
         "optimal_radius_is_tight",
         monotone and forward_ball_reaches(square, np.zeros(2), rho, a_set) is not None
         and forward_ball_reaches(square, np.zeros(2), rho * (1.0 - 1e-6), a_set) is None
         and gap <= 1e-12,
-        {"rho_gap": gap}))
+        {"rho_gap": gap})
 
     plane = LinearForm([0.0, 1.0], 0.0)
     perp = is_perpendicular(ball, np.zeros(2), np.array([0.0, 1.0]), plane)
@@ -998,8 +979,8 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
         foot = nearest_on_segment(ball, np.array([0.0, float(t)]),
                                   (np.array([-0.9, 0.0]), np.array([0.9, 0.0])))
         consistent = consistent and float(np.linalg.norm(foot.point)) <= 1e-6
-    checks.append(CheckResult("perpendicular_ray_projects_to_base",
-                              perp and not tilted and consistent, {}))
+    rng = yield CheckResult("perpendicular_ray_projects_to_base",
+                            perp and not tilted and consistent, {})
 
     # Polytope variant via the LP route: the plane slice {x1 = 0} is a
     # degenerate polytope; flat spheres allow ties, so the base is asserted
@@ -1014,14 +995,12 @@ def suite_projection(cfg: RunConfig) -> list[CheckResult]:
         foot = nearest_on_convex(square, x, slab)
         base_is_nearest = base_is_nearest and (
             funk(square, x, np.zeros(2)) <= foot.distance + 1e-9)
-    checks.append(CheckResult("perpendicular_ray_base_is_nearest_on_slice",
-                              perp_sq and base_is_nearest, {}))
-    return checks
+    rng = yield CheckResult("perpendicular_ray_base_is_nearest_on_slice",
+                            perp_sq and base_is_nearest, {})
 
 
-def suite_tangent(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(13)
+def suite_tangent(cfg: RunConfig) -> Checks:
+    rng = yield
     square = unit_square()
     ball = unit_ball()
     poly = random_polytope(rng, 3)
@@ -1039,8 +1018,8 @@ def suite_tangent(cfg: RunConfig) -> list[CheckResult]:
             order = convergence_order(rows)
             min_order = min(min_order, order)
     gate = cfg.tol("tangent.order", 0.9)
-    checks.append(CheckResult("difference_quotient_first_order", min_order >= gate,
-                              {"min_order": min_order, "tolerance": gate}))
+    rng = yield CheckResult("difference_quotient_first_order", min_order >= gate,
+                            {"min_order": min_order, "tolerance": gate})
 
     n = cfg.count("tangent.identity_samples", 10_000)
     mismatches = 0
@@ -1056,8 +1035,8 @@ def suite_tangent(cfg: RunConfig) -> list[CheckResult]:
         if (norm < 1.0) != (margin > 0.0):
             mismatches += 1
         done += 1
-    checks.append(CheckResult("unit_ball_is_translated_domain", mismatches == 0,
-                              {"samples": n, "mismatches": mismatches}))
+    rng = yield CheckResult("unit_ball_is_translated_domain", mismatches == 0,
+                            {"samples": n, "mismatches": mismatches})
 
     worst_h, worst_s, worst_id = 0.0, 0.0, 0.0
     for _ in range(cfg.count("tangent.algebra", 500)):
@@ -1070,13 +1049,12 @@ def suite_tangent(cfg: RunConfig) -> list[CheckResult]:
         worst_h = max(worst_h, abs(tangent_norm(poly, p, lam * u) - lam * nu))
         worst_s = max(worst_s, tangent_norm(poly, p, u + v) - nu - nv)
         worst_id = max(worst_id, abs(nu - polytope_support_form(poly, p, u)))
-    checks.append(CheckResult("positive_homogeneity", worst_h <= 1e-12,
-                              {"max_gap": worst_h}))
-    checks.append(CheckResult("subadditivity", worst_s <= 1e-10,
-                              {"max_excess": worst_s}))
-    checks.append(CheckResult("gauge_matches_support_form", worst_id <= 1e-12,
-                              {"max_gap": worst_id}))
-    return checks
+    rng = yield CheckResult("positive_homogeneity", worst_h <= 1e-12,
+                            {"max_gap": worst_h})
+    rng = yield CheckResult("subadditivity", worst_s <= 1e-10,
+                            {"max_excess": worst_s})
+    rng = yield CheckResult("gauge_matches_support_form", worst_id <= 1e-12,
+                            {"max_gap": worst_id})
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -1084,16 +1062,15 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def suite_appendix(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(14)
+def suite_appendix(cfg: RunConfig) -> Checks:
+    rng = yield
     n = cfg.count("appendix.constructions", 1000)
     gate = cfg.tol("appendix.product", 1e-9)
 
     hand = menelaus_product([0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                             [1.5, -0.5], [0.0, 0.25], [0.5, 0.0])
-    checks.append(CheckResult("menelaus_hand_instance", abs(hand - 1.0) <= 1e-12,
-                              {"product": hand}))
+    rng = yield CheckResult("menelaus_hand_instance", abs(hand - 1.0) <= 1e-12,
+                            {"product": hand})
 
     worst = 0.0
     min_off = np.inf
@@ -1115,8 +1092,8 @@ def suite_appendix(cfg: RunConfig) -> list[CheckResult]:
             continue
         worst = max(worst, abs(menelaus_product(A, B, C, Ap, Bp, Cp) - 1.0))
         done += 1
-    checks.append(CheckResult("menelaus_transversals", worst <= gate,
-                              {"max_gap": worst, "constructions": n}))
+    rng = yield CheckResult("menelaus_transversals", worst <= gate,
+                            {"max_gap": worst, "constructions": n})
 
     # Independent random side points are almost surely non-aligned; the rare
     # near-aligned draw is a measure-zero coincidence and is redrawn.
@@ -1139,10 +1116,10 @@ def suite_appendix(cfg: RunConfig) -> list[CheckResult]:
             continue
         min_off = min(min_off, abs(off - 1.0))
         done += 1
-    checks.append(CheckResult("menelaus_detects_misalignment",
-                              min_off > 1e-4 and coincidences <= n // 20,
-                              {"min_deviation": min_off,
-                               "redrawn_coincidences": coincidences}))
+    rng = yield CheckResult("menelaus_detects_misalignment",
+                            min_off > 1e-4 and coincidences <= n // 20,
+                            {"min_deviation": min_off,
+                             "redrawn_coincidences": coincidences})
 
     medians = ceva_product([0.0, 0.0], [2.0, 0.0], [0.0, 2.0],
                            [1.0, 1.0], [0.0, 1.0], [1.0, 0.0])
@@ -1166,11 +1143,11 @@ def suite_appendix(cfg: RunConfig) -> list[CheckResult]:
                            Cp + 0.05 * (A - B) / np.linalg.norm(A - B))
         min_off = min(min_off, abs(off + 1.0))
         done += 1
-    checks.append(CheckResult("ceva_concurrent_cevians",
-                              abs(medians + 1.0) <= 1e-12 and worst <= gate,
-                              {"max_gap": worst, "median_product": medians}))
-    checks.append(CheckResult("ceva_detects_perturbation", min_off > 1e-3,
-                              {"min_deviation": min_off}))
+    rng = yield CheckResult("ceva_concurrent_cevians",
+                            abs(medians + 1.0) <= 1e-12 and worst <= gate,
+                            {"max_gap": worst, "median_product": medians})
+    rng = yield CheckResult("ceva_detects_perturbation", min_off > 1e-3,
+                            {"min_deviation": min_off})
 
     base = cross_ratio([-1.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0])
     worst = 0.0
@@ -1181,9 +1158,9 @@ def suite_appendix(cfg: RunConfig) -> list[CheckResult]:
         img = apply_projective(P, pts)
         worst = max(worst, abs(cross_ratio(*img) - cross_ratio(*pts)))
     gate_cr = cfg.tol("appendix.cross_ratio", 1e-9)
-    checks.append(CheckResult("cross_ratio_projective_invariance",
-                              abs(base - 3.0) <= 1e-12 and worst <= gate_cr,
-                              {"unit_interval_value": base, "max_gap": worst}))
+    rng = yield CheckResult("cross_ratio_projective_invariance",
+                            abs(base - 3.0) <= 1e-12 and worst <= gate_cr,
+                            {"unit_interval_value": base, "max_gap": worst})
 
     # Distance-ratio replay of the triangle inequality: the product of the
     # two exit-ratio factors dominates the direct one, with equality only in
@@ -1207,15 +1184,13 @@ def suite_appendix(cfg: RunConfig) -> list[CheckResult]:
         if abs(lhs - rhs) <= 1e-9 * rhs:
             rep = triangle_report(poly, x, y, z)
             aligned_when_equal = aligned_when_equal and rep.aligned
-    checks.append(CheckResult("triangle_inequality_replay_via_cross_ratios",
-                              worst <= 1e-12 and aligned_when_equal,
-                              {"max_relative_violation": worst}))
-    return checks
+    rng = yield CheckResult("triangle_inequality_replay_via_cross_ratios",
+                            worst <= 1e-12 and aligned_when_equal,
+                            {"max_relative_violation": worst})
 
 
-def suite_relative(cfg: RunConfig) -> list[CheckResult]:
-    checks = []
-    rng = cfg.rng(15)
+def suite_relative(cfg: RunConfig) -> Checks:
+    rng = yield
     ball = unit_ball()
 
     n = cfg.count("relative.pairs", 500)
@@ -1225,14 +1200,14 @@ def suite_relative(cfg: RunConfig) -> list[CheckResult]:
     for x, y in zip(X, Y):
         worst = max(worst, abs(relative_funk(ball, ball, x, y)
                                - 2.0 * hilbert(ball, x, y)))
-    checks.append(CheckResult("self_relative_distance_doubles_hilbert",
-                              worst <= 1e-12, {"max_gap": worst}))
+    rng = yield CheckResult("self_relative_distance_doubles_hilbert",
+                            worst <= 1e-12, {"max_gap": worst})
 
     worst = 0.0
     for x, y in zip(X, Y):
         worst = max(worst, abs(relative_funk(ball, None, x, y) - funk(ball, x, y)))
-    checks.append(CheckResult("whole_space_envelope_reduces_to_funk",
-                              worst <= 0.0, {"max_gap": worst}))
+    rng = yield CheckResult("whole_space_envelope_reduces_to_funk",
+                            worst <= 0.0, {"max_gap": worst})
 
     half = HPolytope([[0.0, -1.0]], [10.0], witness=[0.0, 0.0])  # x2 > -10
     addl = 0.0
@@ -1240,8 +1215,8 @@ def suite_relative(cfg: RunConfig) -> list[CheckResult]:
         rel = relative_funk(ball, half, x, y)
         split = funk(ball, x, y) + funk(half, y, x)
         addl = max(addl, abs(rel - split))
-    checks.append(CheckResult("relative_distance_splits_into_funk_parts",
-                              addl <= 1e-12, {"max_gap": addl}))
+    rng = yield CheckResult("relative_distance_splits_into_funk_parts",
+                            addl <= 1e-12, {"max_gap": addl})
 
     # Horizontal pairs: the reverse ray runs parallel to the envelope wall,
     # so the envelope term vanishes and only the inner distance remains.
@@ -1251,27 +1226,46 @@ def suite_relative(cfg: RunConfig) -> list[CheckResult]:
         if ball.contains(y) <= 1e-6:
             continue
         worst = max(worst, abs(relative_funk(ball, half, x, y) - funk(ball, x, y)))
-    checks.append(CheckResult("parallel_envelope_exit_contributes_nothing",
-                              worst <= 1e-15, {"max_gap": worst}))
-    return checks
+    rng = yield CheckResult("parallel_envelope_exit_contributes_nothing",
+                            worst <= 1e-15, {"max_gap": worst})
+
+
+def _seeded(suite, salt: int):
+    """The suite as a callable ``cfg -> list[CheckResult]``.
+
+    Check k is sent ``np.random.default_rng([cfg.seed, salt, k])`` and
+    draws only from it, so its draws do not depend on what the checks
+    before it drew.
+    """
+    def run(cfg: RunConfig) -> list[CheckResult]:
+        gen = suite(cfg)
+        next(gen)
+        checks = []
+        try:
+            while True:
+                rng = np.random.default_rng([cfg.seed, salt, len(checks)])
+                checks.append(gen.send(rng))
+        except StopIteration:
+            return checks
+    return run
 
 
 SUITES = {
-    "convex-core": suite_convex_core,
-    "oracle-closedform": suite_oracle_closedform,
-    "axioms": suite_axioms,
-    "monotonicity": suite_monotonicity,
-    "invariance": suite_invariance,
-    "completeness": suite_completeness,
-    "ratio": suite_ratio,
-    "balls": suite_balls,
-    "sandwich": suite_sandwich,
-    "triangle": suite_triangle,
-    "geodesic": suite_geodesic,
-    "projection": suite_projection,
-    "tangent": suite_tangent,
-    "appendix": suite_appendix,
-    "relative": suite_relative,
+    "convex-core": _seeded(suite_convex_core, salt=1),
+    "oracle-closedform": _seeded(suite_oracle_closedform, salt=2),
+    "axioms": _seeded(suite_axioms, salt=3),
+    "monotonicity": _seeded(suite_monotonicity, salt=4),
+    "invariance": _seeded(suite_invariance, salt=5),
+    "completeness": _seeded(suite_completeness, salt=6),
+    "ratio": _seeded(suite_ratio, salt=7),
+    "balls": _seeded(suite_balls, salt=8),
+    "sandwich": _seeded(suite_sandwich, salt=9),
+    "triangle": _seeded(suite_triangle, salt=10),
+    "geodesic": _seeded(suite_geodesic, salt=11),
+    "projection": _seeded(suite_projection, salt=12),
+    "tangent": _seeded(suite_tangent, salt=13),
+    "appendix": _seeded(suite_appendix, salt=14),
+    "relative": _seeded(suite_relative, salt=15),
 }
 
 

@@ -62,6 +62,13 @@ def test_dist_validation_failure_exits_2(square_file, capsys):
     assert "interior" in capsys.readouterr().err
 
 
+def test_boolean_coordinates_in_a_domain_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps({**BALL, "center": [True, False]}))
+    assert main(["dist", str(path), "funk", "0,0", "0.5,0"]) == 2
+    assert '"center" must hold numbers' in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["dist", "nowhere.json", "funk", "0,0", "0.5,0"]) == 2
 

@@ -15,6 +15,9 @@ SQUARE = {
 
 BALL = {"dim": 2, "kind": "ball", "center": [0, 0], "radius": 1}
 
+AFFINE = {"dim": 2, "kind": "affine_image", "inner": BALL,
+          "matrix": [[2, 0], [0, 2]], "translation": [0, 0]}
+
 
 def test_parse_square_and_query():
     domain = parse_domain(json.dumps(SQUARE))
@@ -65,6 +68,20 @@ def test_json_booleans_are_not_numbers(key):
     spec = {"dim": 1, "kind": "ball", "center": [0.0], "radius": 1}
     spec[key] = True
     with pytest.raises(DomainSpecError, match=key):
+        parse_domain(json.dumps(spec))
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({**BALL, "center": [True, False]}, "center"),
+    ({**AFFINE, "translation": [0, True]}, "translation"),
+    ({**SQUARE, "witness": [False, 0]}, "witness"),
+    ({**SQUARE, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, True]]}, "vertices"),
+    ({**SQUARE, "constraints": [[True, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]},
+     "constraints"),
+    ({**AFFINE, "matrix": [[2, 0], [False, 2]]}, "matrix"),
+], ids=["center", "translation", "witness", "vertices", "constraints", "matrix"])
+def test_json_booleans_in_number_lists_are_rejected(spec, key):
+    with pytest.raises(DomainSpecError, match=f'"{key}" must hold numbers'):
         parse_domain(json.dumps(spec))
 
 

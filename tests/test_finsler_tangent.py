@@ -14,7 +14,6 @@ from funkgeo import (
     tangent_norm,
 )
 from funkgeo.finsler_tangent import polytope_support_form
-from funkgeo.suites import RunConfig, suite_tangent
 
 
 def test_gauge_of_unit_ball_at_center(ball, rng):
@@ -97,18 +96,36 @@ def test_convergence_order_reads_the_asymptotic_rows():
     assert convergence_order(rows) == pytest.approx(1.0, abs=0.01)
 
 
-# (seed, count of difference_quotient_first_order configs): seeds 161 and 9600
-# failed at 1/16 counts, and seed 6 at default counts, with the fit over
-# every row.  The order check is the suite's first and draws first, so the
-# later checks' counts do not change it.
-@pytest.mark.parametrize("seed, order_configs", [(161, 1), (9600, 1), (6, 10)])
-def test_tangent_order_check_passes_on_formerly_failing_seeds(seed, order_configs):
-    cfg = RunConfig(seed=seed, counts={"tangent.order_configs": order_configs,
-                                       "tangent.identity_samples": 1,
-                                       "tangent.algebra": 1})
-    check = suite_tangent(cfg)[0]
-    assert check.name == "difference_quotient_first_order"
-    assert check.passed, check.detail
+# (domain, p, x, y) of difference_quotient_first_order configurations that
+# fail with the fit over every row.  The tangent suite drew them at seeds 161
+# and 9600 (1/16 counts) and 6 (default counts) when all its checks shared
+# one random stream.
+FORMERLY_FAILING_TANGENT_CONFIGS = {
+    "sixteenth-161": ("ball",
+                      ("0x1.2592b1609b750p-2", "-0x1.54e7561c97e10p-4"),
+                      ("-0x1.4fc46ac51f9afp-2", "-0x1.35cf40fd61d01p-1"),
+                      ("0x1.09c6397451b88p-1", "-0x1.f71c000d6ea23p-4")),
+    "sixteenth-9600": ("square",
+                       ("0x1.6793ff59b6c5cp-2", "0x1.6faaaf4cb6b14p-2"),
+                       ("-0x1.250c1ff93fb6ap-2", "-0x1.38c76c1f90658p-7"),
+                       ("-0x1.94755a1c17c8ep-3", "-0x1.8a03a57de5191p-3")),
+    "default-6": ("ball",
+                  ("-0x1.96cc839e27a60p-3", "0x1.710fda8144460p-3"),
+                  ("0x1.ad0cadb9b5421p-3", "-0x1.10587b3a4bfb9p-3"),
+                  ("-0x1.275fade1d8c18p-3", "-0x1.1ca534b64734ap-2")),
+}
+
+
+@pytest.mark.parametrize("config", FORMERLY_FAILING_TANGENT_CONFIGS.values(),
+                         ids=FORMERLY_FAILING_TANGENT_CONFIGS)
+def test_tangent_order_passes_on_formerly_failing_configs(config, ball, square):
+    kind, p, x, y = config
+    domain = {"ball": ball, "square": square}[kind]
+    p, x, y = ([float.fromhex(c) for c in v] for v in (p, x, y))
+    rows = finite_difference_check(domain, p, x, y, 10.0 ** -np.arange(1, 6))
+    errors = [e for _, _, e in rows]
+    every_row = np.polyfit(np.log([t for t, _, _ in rows]), np.log(errors), 1)[0]
+    assert every_row < 0.9 <= convergence_order(rows)
 
 
 def test_difference_quotients_reject_escaping_samples(ball):

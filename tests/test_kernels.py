@@ -5,8 +5,9 @@ and row kernels (``_margins``, ``_exits``); ``_hit`` builds a boundary
 point from ``_exit`` for the callers that need one.  The public functions
 validate their inputs once and then call only kernels; these tests pin the
 agreement of the kernels, the number of casts per query, the error
-messages of the public functions, and the random streams of the samplers
-built on the row kernels.
+messages of the public functions, and the samplers built on the row
+kernels: the random stream of ``sample_interior`` and the interior rows of
+``interior_samples``.
 """
 
 import gc
@@ -399,7 +400,7 @@ def test_containment_cache_entries_die_with_their_domains():
     assert len(cache) == before
 
 
-# --- samplers keep their random streams ------------------------------------------------
+# --- samplers: rows, streams and interiors --------------------------------------------
 
 def _sample_interior_per_point(domain, rng, m, bound=1.7, min_margin=1e-6):
     out = []
@@ -413,29 +414,27 @@ def _sample_interior_per_point(domain, rng, m, bound=1.7, min_margin=1e-6):
     return np.array(out)
 
 
-def _interior_samples_per_point(domain, k, rng):
-    p = domain.base_point()
-    out = np.empty((k, domain.dim))
-    for i in range(k):
-        u = rng.standard_normal(domain.dim)
-        u /= np.linalg.norm(u)
-        t_max = min(domain.ray_boundary(p, p + u).t, 1e3)
-        out[i] = p + (0.999 * rng.random() ** (1.0 / domain.dim) * t_max) * u
-    return out
-
-
 @pytest.mark.parametrize("kind", [*KINDS, "half_plane"])
-def test_row_samplers_draw_the_same_stream_as_per_point_loops(kind, half_plane):
+def test_row_sampler_draws_the_same_stream_as_a_per_point_loop(kind, half_plane):
     domain = half_plane if kind == "half_plane" else KINDS[kind]
     for seed in range(3):
         rng_rows, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
         rows = sample_interior(domain, rng_rows, 37, bound=2.0, min_margin=0.05)
         loop = _sample_interior_per_point(domain, rng_loop, 37, bound=2.0, min_margin=0.05)
         assert np.array_equal(rows, loop)
-        rows = domain.interior_samples(50, rng_rows)
-        loop = _interior_samples_per_point(domain, 50, rng_loop)
-        assert np.allclose(rows, loop, rtol=1e-12, atol=1e-12)
         assert rng_rows.random() == rng_loop.random()
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "half_plane"])
+def test_interior_samples_are_interior_and_seeded(kind, half_plane):
+    domain = half_plane if kind == "half_plane" else KINDS[kind]
+    for seed in range(3):
+        rows = domain.interior_samples(500, np.random.default_rng(seed))
+        assert rows.shape == (500, domain.dim)
+        assert all(domain.contains(x) > 0.0 for x in rows)
+        assert np.array_equal(rows, domain.interior_samples(500, np.random.default_rng(seed)))
+        assert not np.array_equal(rows, domain.interior_samples(
+            500, np.random.default_rng(seed + 1)))
 
 
 def _sphere_sample_per_direction(ball, k, seed):

@@ -35,6 +35,31 @@ def test_report_shape_and_flags():
     assert report["_runtime"].count("wall=") == 1
 
 
+# Counts at about 1/16 of the defaults, for the two suites below.
+SIXTEENTH = {
+    "invariance.affine_maps": 60,
+    "invariance.pairs_per_map": 1,
+    "invariance.projective_maps": 62,
+    "invariance.orthant_pairs": 625,
+    "triangle.edge_triples": 62,
+    "triangle.ball_triples": 625,
+    "triangle.perturbed": 19,
+}
+
+
+@pytest.mark.parametrize("key, check", [
+    ("invariance.affine_maps", "funk_affine_invariance"),
+    ("triangle.edge_triples", "square_edge_triples_reach_equality"),
+])
+def test_a_count_moves_only_the_entry_of_the_check_it_sizes(key, check):
+    suite = key.split(".")[0]
+    before = run_suite(suite, RunConfig(seed=3, counts=SIXTEENTH))
+    after = run_suite(suite, RunConfig(seed=3, counts={**SIXTEENTH, key: SIXTEENTH[key] + 1}))
+    assert [c["name"] for c in before["checks"]] == [c["name"] for c in after["checks"]]
+    moved = [c["name"] for c, d in zip(before["checks"], after["checks"]) if c != d]
+    assert moved == [check]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nope", RunConfig())
