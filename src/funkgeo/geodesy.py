@@ -31,11 +31,13 @@ from .convex_core import (
     ConvexDomain,
     GeometryError,
     HPolytope,
+    _row_lengths,
+    _rowdot,
     as_point,
     to_projective,
 )
 from . import metric_engine
-from .metric_engine import _check_interior, _funk, _hilbert
+from .metric_engine import _batch_from_parameters, _check_interior, _funk, _hilbert
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,44 @@ def triangle_report(domain: ConvexDomain, x, y, z) -> TriangleReport:
     fxy, fyz, fxz = (metric_engine._from_parameter(h.t) for h in hits)
     defect = fxy + fyz - fxz
     rows = np.vstack([to_projective(h) for h in hits])
-    svals = np.linalg.svd(rows, compute_uv=False)
-    # In one dimension the rows have two entries, and three points of a line
-    # are always aligned: the missing third singular value is 0.
-    smallest = svals[2] if svals.size == 3 else 0.0
     return TriangleReport(defect=float(defect),
                           hits=(rows[0], rows[1], rows[2]),
-                          aligned=bool(smallest <= tol.EPS_RANK * svals[0]))
+                          aligned=bool(_aligned(np.linalg.svd(rows, compute_uv=False))))
+
+
+def _aligned(svals: np.ndarray) -> np.ndarray:
+    """The rank test on the singular values (..., k) of stacked unit hit rows.  In one
+    dimension k = 2, and three points of a line are always aligned: s3 is 0."""
+    smallest = svals[..., 2] if svals.shape[-1] == 3 else 0.0
+    return smallest <= tol.EPS_RANK * svals[..., 0]
+
+
+def triangle_batch(domain: ConvexDomain, X, Y, Z) -> tuple[np.ndarray, np.ndarray]:
+    """Row form of :func:`triangle_report`: defects and alignment flags of the triples
+    in the rows of X, Y and Z, from three ``_exits`` calls and one stacked SVD.  If a
+    row is not interior or has coincident points, the triples go one by one through
+    :func:`triangle_report`, so the first offending triple raises its message."""
+    X, Y, Z = (np.atleast_2d(np.asarray(P, dtype=float)) for P in (X, Y, Z))
+    if not X.shape == Y.shape == Z.shape or X.shape[1] != domain.dim:
+        raise GeometryError("point arrays must be (m, dim) and congruent")
+    legs = ((X, Y), (Y, Z), (X, Z))
+    t = None
+    if all(np.isfinite(P).all() for P in (X, Y, Z)):
+        lengths = [_row_lengths(Q - P) for P, Q in legs]
+        if all((length > tol.EPS_PT).all() for length in lengths):
+            t = [domain._exits(P, Q) for P, Q in legs]
+    if t is None or not all((ti > 1.0).all() for ti in t):
+        reports = [triangle_report(domain, *triple) for triple in zip(X, Y, Z)]
+        return np.array([r.defect for r in reports]), np.array([r.aligned for r in reports])
+    fxy, fyz, fxz = map(_batch_from_parameters, t, lengths)
+    hits = []
+    for (P, Q), ti in zip(legs, t):
+        # (x + t*d, 1) for a finite exit, (d, 0) for a ray that never leaves.
+        finite = np.isfinite(ti)[:, None]
+        H = np.hstack([np.where(finite, P + np.where(finite, ti[:, None], 0.0) * (Q - P), Q - P),
+                       finite])
+        hits.append(H / np.sqrt(_rowdot(H, H))[:, None])
+    return fxy + fyz - fxz, _aligned(np.linalg.svd(np.stack(hits, axis=1), compute_uv=False))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import weakref
 import numpy as np
 
 from . import tolerances as tol
-from .convex_core import ConvexDomain, GeometryError, HPolytope, _row_lengths, as_point
+from .convex_core import ConvexDomain, GeometryError, HPolytope, _row_lengths, _rowdot, as_point
 
 
 def _from_parameter(t: float) -> float:
@@ -143,43 +143,62 @@ def relative_funk(omega: ConvexDomain, outer: ConvexDomain | None, x, y) -> floa
     return 0.0 if value < tol.F_CLAMP else value
 
 
-def funk_polytope_closed_form(polytope: HPolytope, x, y) -> float:
+def _pairs(x, y, pair_call, names=("x", "y"), domain=None):
+    """x and y as congruent (m, n) rows of finite points, interior to ``domain`` if given,
+    and whether they were one pair.  If a row fails, the pairs go one by one through
+    ``pair_call``, so the first offending pair raises the message of a single call."""
+    if np.ndim(x) < 2:
+        x = _check_interior(domain, x, names[0]) if domain else as_point(x, name=names[0])
+        y = _check_interior(domain, y, names[1]) if domain else as_point(y, x.size, name=names[1])
+        return x[None], y[None], True
+    X, Y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if X.shape != Y.shape or X.ndim != 2 or (domain is not None and X.shape[1] != domain.dim):
+        raise GeometryError("point arrays must be (m, dim) and congruent")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all() and (domain is None or (
+            (domain._margins(X) > 0.0).all() and (domain._margins(Y) > 0.0).all()))):
+        for p, q in zip(X, Y):
+            pair_call(p, q)
+    return X, Y, False
+
+
+def funk_polytope_closed_form(polytope: HPolytope, x, y):
     """Funk distance in a polytope as a maximum of slack log-ratios.
 
     F(x, y) = max(0, max_j log((s_j - <a_j, x>) / (s_j - <a_j, y>))).
+    Takes two points, or two (m, dim) arrays with one distance per row.
     """
-    x = _check_interior(polytope, x, "x")
-    y = _check_interior(polytope, y, "y")
-    sx = polytope.b - polytope.A @ x
-    sy = polytope.b - polytope.A @ y
-    value = max(0.0, float(np.max(np.log(sx / sy))))
-    return 0.0 if value < tol.F_CLAMP else value
+    X, Y, single = _pairs(x, y, lambda p, q: funk_polytope_closed_form(polytope, p, q),
+                          domain=polytope)
+    # Row by row, so that rows round as single pairs do (one product of all rows would not).
+    slack_x, slack_y = (polytope.b - np.matmul(P[:, None], polytope.A.T)[:, 0] for P in (X, Y))
+    value = np.maximum(0.0, np.log(slack_x / slack_y).max(axis=1))
+    value[value < tol.F_CLAMP] = 0.0
+    return float(value[0]) if single else value
 
 
-def funk_unit_ball_closed_form(x, y) -> float:
+def funk_unit_ball_closed_form(x, y):
     """Funk distance in the unit ball centered at the origin.
 
     Uses the parallelogram-area identity |x ^ y|^2 = |x|^2 |y|^2 - <x,y>^2:
 
         F(x, y) = log((q + |x|^2 - <x,y>) / (q - |y|^2 + <x,y>)),
         q = sqrt(|y - x|^2 - |x ^ y|^2).
+
+    Takes two points, or two (m, dim) arrays with one distance per row.
     """
-    x = as_point(x, name="x")
-    y = as_point(y, x.size, name="y")
-    nx2 = float(x @ x)
-    ny2 = float(y @ y)
-    if nx2 >= 1.0 or ny2 >= 1.0:
+    X, Y, single = _pairs(x, y, funk_unit_ball_closed_form)
+    nx2, ny2, dot = _rowdot(X, X), _rowdot(Y, Y), _rowdot(X, Y)
+    if (nx2 >= 1.0).any() or (ny2 >= 1.0).any():
         raise GeometryError("arguments must lie strictly inside the unit ball")
-    if np.linalg.norm(y - x) <= tol.EPS_PT:
-        return 0.0
-    dot = float(x @ y)
-    wedge2 = nx2 * ny2 - dot * dot
-    radicand = float((y - x) @ (y - x)) - wedge2
-    if radicand < -tol.EPS_GEOM:
+    D = Y - X
+    radicand = _rowdot(D, D) - (nx2 * ny2 - dot * dot)
+    if (radicand < -tol.EPS_GEOM).any():
         raise GeometryError("radicand is negative beyond the conditioning guard")
-    q = math.sqrt(max(radicand, 0.0))
-    value = math.log((q + nx2 - dot) / (q - ny2 + dot))
-    return 0.0 if value < tol.F_CLAMP else value
+    q = np.sqrt(np.maximum(radicand, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at coincident rows
+        value = np.log((q + nx2 - dot) / (q - ny2 + dot))
+    value[(_row_lengths(D) <= tol.EPS_PT) | (value < tol.F_CLAMP)] = 0.0
+    return float(value[0]) if single else value
 
 
 def ratio_from_distances(fxy: float, fxz: float) -> float:
@@ -202,11 +221,11 @@ def distance_from_ratio(fxy: float, t: float) -> float:
     return fxy - math.log(arg)
 
 
-def minkowski_max_distance(u, v) -> float:
-    """The weak Minkowski distance max_i max(0, u_i - v_i)."""
-    u = as_point(u, name="u")
-    v = as_point(v, u.size, name="v")
-    return max(0.0, float(np.max(u - v)))
+def minkowski_max_distance(u, v):
+    """The weak Minkowski distance max_i max(0, u_i - v_i), of a pair or of each row pair."""
+    U, V, single = _pairs(u, v, minkowski_max_distance, ("u", "v"))
+    value = np.maximum(0.0, (U - V).max(axis=1))
+    return float(value[0]) if single else value
 
 
 def funk_batch(domain: ConvexDomain, X, Y) -> np.ndarray:

@@ -43,6 +43,7 @@ from .geodesy import (
     FaceCone,
     cone_member,
     polyline_face_witness,
+    triangle_batch,
     triangle_report,
     unique_geodesic_pair,
     verify_geodesic,
@@ -144,6 +145,18 @@ def sample_interior(domain, rng: np.random.Generator, m: int,
         block = rng.uniform(-bound, bound, size=(4 * m, domain.dim))
         out = np.vstack([out, block[domain._margins(block) > min_margin][:m - len(out)]])
     return out
+
+
+def _accepted(n: int, draw, accept) -> tuple[np.ndarray, int]:
+    """n rows that ``accept`` passes, drawn by ``draw(k)`` in blocks of the k rows
+    still missing, and the number of rows it rejected on the way."""
+    blocks, have, rejected = [], 0, 0
+    while have < n:
+        block = draw(n - have)
+        ok = accept(block)
+        blocks.append(block[ok])
+        have, rejected = have + int(ok.sum()), rejected + int((~ok).sum())
+    return np.concatenate(blocks), rejected
 
 
 def random_affine_map(rng: np.random.Generator, dim: int) -> AffineMap:
@@ -295,16 +308,13 @@ def suite_oracle_closedform(cfg: RunConfig) -> Checks:
     per_dim = cfg.count("oracle.pairs_per_dim", 2500)
     gate = cfg.tol("oracle.agreement", 1e-9)
 
-    # Scalar funk here, not funk_batch: the polytope row kernel rounds its
-    # slacks differently, which moves max_gap's last digits (seed 7, default counts).
     worst = 0.0
     for dim in (2, 3, 4, 5):
         poly = random_polytope(rng, dim)
         X = sample_interior(poly, rng, per_dim, bound=1.6)
         Y = sample_interior(poly, rng, per_dim, bound=1.6)
-        for x, y in zip(X, Y):
-            worst = max(worst, abs(funk_polytope_closed_form(poly, x, y)
-                                   - funk(poly, x, y)))
+        gap = funk_polytope_closed_form(poly, X, Y) - funk_batch(poly, X, Y)
+        worst = max(worst, float(np.max(np.abs(gap))))
     rng = yield CheckResult("polytope_closed_form_matches_ray_cast", worst <= gate,
                             {"max_gap": worst, "tolerance": gate,
                              "pairs": 4 * per_dim})
@@ -314,8 +324,8 @@ def suite_oracle_closedform(cfg: RunConfig) -> Checks:
         ball = unit_ball(dim)
         X = sample_interior(ball, rng, per_dim, bound=1.0)
         Y = sample_interior(ball, rng, per_dim, bound=1.0)
-        for x, y, f in zip(X, Y, funk_batch(ball, X, Y)):
-            worst = max(worst, abs(funk_unit_ball_closed_form(x, y) - f))
+        gap = funk_unit_ball_closed_form(X, Y) - funk_batch(ball, X, Y)
+        worst = max(worst, float(np.max(np.abs(gap))))
     rng = yield CheckResult("unit_ball_closed_form_matches_ray_cast", worst <= gate,
                             {"max_gap": worst, "tolerance": gate,
                              "pairs": 4 * per_dim})
@@ -454,9 +464,11 @@ def suite_invariance(cfg: RunConfig) -> Checks:
             continue
         X = sample_interior(square, rng, 4, bound=1.0, min_margin=1e-3)
         Y = sample_interior(square, rng, 4, bound=1.0, min_margin=1e-3)
-        for x, y in zip(X, Y):
-            xi, yi = apply_projective(P, np.vstack([x, y]))
-            worst = max(worst, abs(hilbert(image, xi, yi) - hilbert(square, x, y)))
+        # Row Hilbert distances, 0.5 * (F(X, Y) + F(Y, X)), in both charts.
+        XY, YX = np.vstack([X, Y]), np.vstack([Y, X])
+        F = funk_batch(image, apply_projective(P, XY), apply_projective(P, YX))
+        G = funk_batch(square, XY, YX)
+        worst = max(worst, float(np.max(np.abs(0.5 * (F[:4] + F[4:]) - 0.5 * (G[:4] + G[4:])))))
     rng = yield CheckResult("hilbert_projective_invariance", worst <= gate_h,
                             {"max_gap": worst, "maps": proj_maps,
                              "tolerance": gate_h})
@@ -473,12 +485,10 @@ def suite_invariance(cfg: RunConfig) -> Checks:
         diam = float(np.max([np.linalg.norm(u - v) for u in poly.vertices
                              for v in poly.vertices]))
         X = sample_interior(poly, rng, 100, bound=1.5)
-        for x in X:
-            lam = sandwich(poly, x).lambda_x
-            bound = math.log(diam / lam)
-            Y = sample_interior(poly, rng, 40, bound=1.5)
-            rf = funk_batch(poly, Y, np.tile(x, (len(Y), 1)))
-            worst = max(worst, float(np.max(rf)) - bound)
+        bounds = np.log(diam / np.array([sandwich(poly, x).lambda_x for x in X]))
+        Y = sample_interior(poly, rng, 40 * len(X), bound=1.5)
+        rf = funk_batch(poly, Y, np.repeat(X, 40, axis=0)).reshape(len(X), 40)
+        worst = max(worst, float(np.max(rf.max(axis=1) - bounds)))
     gate_rb = cfg.tol("invariance.reverse_bound", 1e-9)
     rng = yield CheckResult("reverse_funk_diameter_bound", worst <= gate_rb,
                             {"max_excess": worst, "tolerance": gate_rb})
@@ -490,8 +500,7 @@ def suite_invariance(cfg: RunConfig) -> Checks:
         X = np.exp(rng.uniform(-2, 2, size=(n // 2, dim)))
         Y = np.exp(rng.uniform(-2, 2, size=(n // 2, dim)))
         direct = funk_batch(orthant, X, Y)
-        mapped = np.array([minkowski_max_distance(np.log(x), np.log(y))
-                           for x, y in zip(X, Y)])
+        mapped = minkowski_max_distance(np.log(X), np.log(Y))
         worst = max(worst, float(np.max(np.abs(direct - mapped))))
     rng = yield CheckResult("orthant_log_isometry", worst <= 1e-12,
                             {"max_gap": worst, "pairs": n})
@@ -549,28 +558,23 @@ def suite_ratio(cfg: RunConfig) -> Checks:
     n = cfg.count("ratio.configs", 10_000)
     gate = cfg.tol("ratio.round_trip", 1e-10)
 
-    domains = [unit_square(), random_polytope(rng, 3), unit_ball()]
     worst_rt = 0.0
     worst_fwd = 0.0
-    done = 0
-    while done < n:
-        domain = domains[done % len(domains)]
-        bound = 1.0 if isinstance(domain, EuclideanBall) else 1.6
-        x = sample_interior(domain, rng, 1, bound=bound)[0]
-        y = sample_interior(domain, rng, 1, bound=bound)[0]
-        if np.linalg.norm(y - x) < 1e-4:
-            continue
-        fxy = funk(domain, x, y)
-        if fxy < 1e-6:
-            continue
-        t_max = domain.ray_boundary(x, y).t
-        t = rng.uniform(0.0, 0.95 * min(t_max, 10.0))
-        z = x + t * (y - x)
-        fxz = funk(domain, x, z)
-        t_back = ratio_from_distances(fxy, fxz)
-        worst_rt = max(worst_rt, abs(distance_from_ratio(fxy, t_back) - fxz))
-        worst_fwd = max(worst_fwd, abs(distance_from_ratio(fxy, t) - fxz))
-        done += 1
+    # |y - x| >= 1e-4 keeps F(x, y) above 1e-5 in these bounded domains.
+    for i, (domain, bound) in enumerate([(unit_square(), 1.6), (random_polytope(rng, 3), 1.6),
+                                         (unit_ball(), 1.0)]):
+        pairs, _ = _accepted(
+            len(range(i, n, 3)),
+            lambda k: sample_interior(domain, rng, 2 * k, bound=bound).reshape(k, 2, -1),
+            lambda B: np.linalg.norm(B[:, 1] - B[:, 0], axis=1) >= 1e-4)
+        X, Y = pairs[:, 0], pairs[:, 1]
+        t = rng.uniform(0.0, 0.95 * np.minimum(domain._exits(X, Y), 10.0))
+        fxy = funk_batch(domain, X, Y)
+        fxz = funk_batch(domain, X, X + t[:, None] * (Y - X))
+        for f_y, f_z, t_z in zip(fxy.tolist(), fxz.tolist(), t.tolist()):
+            t_back = ratio_from_distances(f_y, f_z)
+            worst_rt = max(worst_rt, abs(distance_from_ratio(f_y, t_back) - f_z))
+            worst_fwd = max(worst_fwd, abs(distance_from_ratio(f_y, t_z) - f_z))
     rng = yield CheckResult("ratio_round_trip", worst_rt <= gate,
                             {"max_gap": worst_rt, "configs": n, "tolerance": gate})
     rng = yield CheckResult("distance_from_geometric_ratio", worst_fwd <= gate,
@@ -708,17 +712,14 @@ def suite_sandwich(cfg: RunConfig) -> Checks:
                             {"lambda_center": c1.lambda_x, "Lambda_center": c1.Lambda_x})
 
 
-def _edge_aligned_triple(rng: np.random.Generator) -> tuple:
-    """Three square points whose forward hits all land on the edge x1 = 1.
+def _edge_aligned_triples(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m triples (m, 3, 2) of square points whose forward hits all land on the edge x1 = 1.
 
     Heights stay within a narrow band so every chord's slope is small
     enough that its extension leaves through the right edge.
     """
-    ys = 0.4 + rng.uniform(0.0, 0.05, 3)
-    x = np.array([-0.5 + rng.uniform(-0.1, 0.1), ys[0]])
-    y = np.array([rng.uniform(-0.05, 0.05), ys[1]])
-    z = np.array([0.5 + rng.uniform(-0.1, 0.1), ys[2]])
-    return x, y, z
+    across = rng.uniform([-0.6, -0.05, 0.4], [-0.4, 0.05, 0.6], (m, 3))
+    return np.stack([across, 0.4 + rng.uniform(0.0, 0.05, (m, 3))], axis=2)
 
 
 def suite_triangle(cfg: RunConfig) -> Checks:
@@ -728,15 +729,10 @@ def suite_triangle(cfg: RunConfig) -> Checks:
     gate = cfg.tol("triangle.defect", 1e-9)
 
     n_edge = cfg.count("triangle.edge_triples", 1000)
-    worst_defect = 0.0
-    aligned_all = True
-    for _ in range(n_edge):
-        x, y, z = _edge_aligned_triple(rng)
-        rep = triangle_report(square, x, y, z)
-        worst_defect = max(worst_defect, abs(rep.defect))
-        aligned_all = aligned_all and rep.aligned
+    defect, aligned = triangle_batch(square, *_edge_aligned_triples(rng, n_edge).swapaxes(0, 1))
+    worst_defect = float(np.max(np.abs(defect)))
     rng = yield CheckResult("square_edge_triples_reach_equality",
-                            worst_defect <= gate and aligned_all,
+                            worst_defect <= gate and bool(aligned.all()),
                             {"max_defect": worst_defect, "triples": n_edge})
 
     # Near-collinear triples are regenerated: the hits of an almost-straight
@@ -744,26 +740,19 @@ def suite_triangle(cfg: RunConfig) -> Checks:
     # quadratic in the thinness, so the rank flag would be exercised inside
     # its own tolerance band rather than on genuinely bent triples.
     n_ball = cfg.count("triangle.ball_triples", 10_000)
-    min_defect = np.inf
-    misclassified = 0
-    done = redrawn = 0
-    while done < n_ball:
-        pts = sample_interior(ball, rng, 3, bound=1.0)
-        chord = pts[2] - pts[0]
-        if min(np.linalg.norm(pts[1] - pts[0]), np.linalg.norm(chord),
-               np.linalg.norm(pts[2] - pts[1])) < 1e-2:
-            redrawn += 1
-            continue
-        leg = pts[1] - pts[0]
-        off_line = abs(chord[0] * leg[1] - chord[1] * leg[0]) / np.linalg.norm(chord)
-        if off_line < 1e-2:
-            redrawn += 1
-            continue
-        rep = triangle_report(ball, pts[0], pts[1], pts[2])
-        min_defect = min(min_defect, rep.defect)
-        if rep.aligned or rep.defect <= 0.0:
-            misclassified += 1
-        done += 1
+
+    def well_apart(T):
+        leg, chord = T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
+        sides = np.linalg.norm(np.stack([leg, chord, T[:, 2] - T[:, 1]]), axis=2)
+        off_line = np.abs(chord[:, 0] * leg[:, 1] - chord[:, 1] * leg[:, 0])
+        return (sides.min(axis=0) >= 1e-2) & (off_line >= 1e-2 * sides[1])
+
+    triples, redrawn = _accepted(
+        n_ball, lambda k: sample_interior(ball, rng, 3 * k, bound=1.0).reshape(k, 3, 2),
+        well_apart)
+    defect, aligned = triangle_batch(ball, *triples.swapaxes(0, 1))
+    min_defect = float(defect.min())
+    misclassified = int(np.sum(aligned | (defect <= 0.0)))
     rng = yield CheckResult("ball_triples_strictly_inside_inequality",
                             misclassified == 0,
                             {"min_defect": min_defect, "triples": n_ball,
@@ -773,17 +762,12 @@ def suite_triangle(cfg: RunConfig) -> Checks:
     # In a strictly convex domain only collinear triples reach equality, so
     # nudging the middle point off the chord must produce a visible defect.
     n_pert = cfg.count("triangle.perturbed", 300)
-    min_pert = np.inf
-    for _ in range(n_pert):
-        x = sample_interior(ball, rng, 1, bound=1.0, min_margin=0.25)[0]
-        z = sample_interior(ball, rng, 1, bound=1.0, min_margin=0.25)[0]
-        if np.linalg.norm(z - x) < 0.3:
-            continue
-        d = (z - x) / np.linalg.norm(z - x)
-        normal = np.array([-d[1], d[0]])
-        y_off = x + rng.uniform(0.3, 0.7) * (z - x) + 1e-2 * normal
-        rep = triangle_report(ball, x, y_off, z)
-        min_pert = min(min_pert, rep.defect)
+    X, Z = sample_interior(ball, rng, 2 * n_pert, bound=1.0, min_margin=0.25).reshape(2, -1, 2)
+    far = np.linalg.norm(Z - X, axis=1) >= 0.3
+    X, Z, s = X[far], Z[far], rng.uniform(0.3, 0.7, n_pert)[far, None]
+    D = (Z - X) / np.linalg.norm(Z - X, axis=1, keepdims=True)
+    defect, _ = triangle_batch(ball, X, X + s * (Z - X) + 1e-2 * D @ [[0.0, 1.0], [-1.0, 0.0]], Z)
+    min_pert = float(np.min(defect, initial=np.inf))
     rng = yield CheckResult("perturbation_breaks_equality", min_pert > 1e-6,
                             {"min_defect": min_pert})
 
@@ -797,8 +781,7 @@ def suite_geodesic(cfg: RunConfig) -> Checks:
     n = cfg.count("geodesic.square_polylines", 200)
     all_pass = True
     cone_ok = True
-    for _ in range(n):
-        x, y, z = _edge_aligned_triple(rng)
+    for x, y, z in _edge_aligned_triples(rng, n):
         ok, _ = verify_geodesic(square, [x, y, z])
         all_pass = all_pass and ok
         witness = polyline_face_witness(square, [x, y, z])
@@ -1022,19 +1005,17 @@ def suite_tangent(cfg: RunConfig) -> Checks:
                             {"min_order": min_order, "tolerance": gate})
 
     n = cfg.count("tangent.identity_samples", 10_000)
-    mismatches = 0
     band = cfg.tol("tangent.identity_band", 1e-7)
-    done = 0
-    while done < n:
-        p = sample_interior(square, rng, 1, bound=1.0, min_margin=0.05)[0]
-        v = rng.uniform(0.1, 2.5) * _unit(rng, 2)
-        norm = tangent_norm(square, p, v)
-        if abs(norm - 1.0) <= band:
-            continue
-        margin = square.contains(p + v)
-        if (norm < 1.0) != (margin > 0.0):
-            mismatches += 1
-        done += 1
+
+    def draw(k):  # rows (p + v, gauge of v at p)
+        V = rng.standard_normal((k, 2))
+        V *= (rng.uniform(0.1, 2.5, k) / np.linalg.norm(V, axis=1))[:, None]
+        P = sample_interior(square, rng, k, bound=1.0, min_margin=0.05)
+        # The gauge is 1/t for the exit parameter t of the ray p -> p + v.
+        return np.column_stack([P + V, 1.0 / square._exits(P, P + V)])
+
+    rows, _ = _accepted(n, draw, lambda B: np.abs(B[:, 2] - 1.0) > band)
+    mismatches = int(np.sum((rows[:, 2] < 1.0) != (square._margins(rows[:, :2]) > 0.0)))
     rng = yield CheckResult("unit_ball_is_translated_domain", mismatches == 0,
                             {"samples": n, "mismatches": mismatches})
 
@@ -1057,11 +1038,6 @@ def suite_tangent(cfg: RunConfig) -> Checks:
                             {"max_gap": worst_id})
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def suite_appendix(cfg: RunConfig) -> Checks:
     rng = yield
     n = cfg.count("appendix.constructions", 1000)
@@ -1081,7 +1057,8 @@ def suite_appendix(cfg: RunConfig) -> Checks:
         if abs(u[0] * v[1] - u[1] * v[0]) < 0.2:
             continue
         p0 = rng.uniform(-1, 1, 2)
-        d = _unit(rng, 2)
+        d = rng.standard_normal(2)
+        d /= np.linalg.norm(d)
         Ap = _intersect_lines(p0, d, C, B - C)
         Bp = _intersect_lines(p0, d, A, C - A)
         Cp = _intersect_lines(p0, d, B, A - B)

@@ -9,6 +9,7 @@ session and its checks are shared across criteria.
 import time
 
 from funkgeo.suites import SUITES, RunConfig
+from funkgeo.tolerances import EPS_RANK
 
 _CACHE: dict = {}
 
@@ -59,7 +60,7 @@ def test_criterion_03_triangle_equality_characterization():
     ball = checks["ball_triples_strictly_inside_inequality"]
     ok = edge.passed and ball.passed and ball.detail["misclassified"] == 0
     _report(3, "equality iff the three boundary hits align (defect<=1e-9 on "
-               "edge triples; strict on 1e4 ball triples; rank gate 1e-7)", ok,
+               f"edge triples; strict on 1e4 ball triples; rank gate {EPS_RANK:.3g})", ok,
             f"misclassified {ball.detail['misclassified']}")
 
 

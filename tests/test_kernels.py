@@ -5,9 +5,10 @@ and row kernels (``_margins``, ``_exits``); ``_hit`` builds a boundary
 point from ``_exit`` for the callers that need one.  The public functions
 validate their inputs once and then call only kernels; these tests pin the
 agreement of the kernels, the number of casts per query, the error
-messages of the public functions, and the samplers built on the row
-kernels: the random stream of ``sample_interior`` and the interior rows of
-``interior_samples``.
+messages of the public functions, the row forms of ``triangle_report`` and
+of the closed forms against their single calls, and the samplers built on
+the row kernels: the random stream of ``sample_interior`` and the interior
+rows of ``interior_samples``.
 """
 
 import gc
@@ -29,8 +30,11 @@ from funkgeo import (
     IntersectionDomain,
     funk,
     funk_batch,
+    funk_polytope_closed_form,
+    funk_unit_ball_closed_form,
     hilbert,
     max_symmetrized,
+    minkowski_max_distance,
     relative_funk,
     reverse_funk,
     tangent_norm,
@@ -39,7 +43,8 @@ from funkgeo import (
 from funkgeo import metric_engine
 from funkgeo.ball_geometry import backward_ball, forward_ball, sphere_directions, sphere_sample
 from funkgeo.convex_core import _row_lengths
-from funkgeo.suites import sample_interior
+from funkgeo.geodesy import triangle_batch
+from funkgeo.suites import _edge_aligned_triples, random_polytope, sample_interior
 
 SQUARE = HPolytope.box([-1.0, -1.0], [1.0, 1.0])
 KINDS = {
@@ -381,6 +386,118 @@ def test_relative_funk_checks_the_reverse_origin_in_the_englobing_domain():
     with pytest.raises(GeometryError) as err:
         relative_funk(SQUARE, corner, [0.0, 0.0], [0.999999, 0.999999])
     assert str(err.value) == "ray origin is not interior to the domain"
+
+
+# --- row forms of the triangle report and the closed forms ------------------------------
+
+EPS = np.finfo(float).eps
+# A ray whose direction d has d2 >= 0 and d1 >= -0.3 d2 never leaves this wedge.
+WEDGE = HPolytope([[0.0, -1.0], [-1.0, -0.3]], [1.0, 1.0], witness=[0.0, 0.0])
+ROW_KINDS = {**KINDS, "unbounded_polytope": WEDGE}
+
+
+def _triples(domain, seed, m=400):
+    rng = np.random.default_rng(seed)
+    T = sample_interior(domain, rng, 3 * m, bound=1.7, min_margin=1e-2).reshape(m, 3, -1)
+    if domain is SQUARE:  # and triples whose hits all lie on one edge
+        T = np.concatenate([T, _edge_aligned_triples(rng, m)])
+    return T.swapaxes(0, 1)
+
+
+def _defect_bound(domain, x, y, z):
+    # F = log1p(1/(t - 1)) turns a relative error e of the exit parameter t
+    # into an error of about e * t/(t - 1) in F.  The scalar and row kernels
+    # may round t apart in its last bits (the polytope's slack products), and
+    # math.log1p and np.log1p differ by up to 1 ulp, so the defects may differ
+    # by a few ulps of the largest distance or of the largest t/(t - 1).
+    ts = [domain.ray_boundary(p, q).t for p, q in ((x, y), (y, z), (x, z))]
+    scale = max([funk(domain, x, y), funk(domain, y, z), funk(domain, x, z)]
+                + [t / (t - 1.0) for t in ts if math.isfinite(t)])
+    return 8 * EPS * scale, ts
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS)
+def test_row_triangle_form_agrees_with_triangle_report(kind):
+    domain = ROW_KINDS[kind]
+    X, Y, Z = _triples(domain, seed=11)
+    defects, aligned = triangle_batch(domain, X, Y, Z)
+    escaped = 0
+    for x, y, z, defect, flag in zip(X, Y, Z, defects, aligned):
+        rep = triangle_report(domain, x, y, z)
+        bound, ts = _defect_bound(domain, x, y, z)
+        assert abs(defect - rep.defect) <= bound
+        assert flag == rep.aligned
+        escaped += sum(t == math.inf for t in ts)
+    assert aligned.any() == (kind != "ball")  # flat faces align some triples
+    assert (escaped > 0) == (kind == "unbounded_polytope")
+
+
+POLYTOPES = {"square": SQUARE, "polytope_4d": random_polytope(np.random.default_rng(4), 4),
+             "unbounded_polytope": WEDGE,
+             "orthant": HPolytope(-np.eye(3), np.zeros(3), witness=np.ones(3))}
+
+
+@pytest.mark.parametrize("kind", POLYTOPES)
+def test_row_closed_forms_agree_with_their_pair_calls_bit_for_bit(kind):
+    # Each row rounds as the pair call does: both take the slacks row by row.
+    polytope = POLYTOPES[kind]
+    rng = np.random.default_rng(7)
+    X, Y = sample_interior(polytope, rng, 2 * 500, bound=1.7).reshape(2, 500, -1)
+    rows = funk_polytope_closed_form(polytope, X, Y)
+    assert rows.tolist() == [funk_polytope_closed_form(polytope, x, y) for x, y in zip(X, Y)]
+    assert np.all(np.abs(rows - funk_batch(polytope, X, Y)) <= 1e-9)
+    ball = EuclideanBall(np.zeros(polytope.dim), 1.0)
+    X, Y = sample_interior(ball, rng, 2 * 500, bound=1.0).reshape(2, 500, -1)
+    Y[:7] = X[:7]  # coincident pairs are at distance 0
+    rows = funk_unit_ball_closed_form(X, Y)
+    assert rows.tolist() == [funk_unit_ball_closed_form(x, y) for x, y in zip(X, Y)]
+    assert np.all(rows[:7] == 0.0)
+    U, V = rng.standard_normal((2, 500, polytope.dim))
+    rows = minkowski_max_distance(U, V)
+    assert rows.tolist() == [minkowski_max_distance(u, v) for u, v in zip(U, V)]
+
+
+OUT_ALL = [-5.0, -5.0]  # outside every kind, the wedge included
+TRIPLE_MESSAGES = [  # (X, Y, Z, triangle_report's message for the first offending triple)
+    ([IN, OUT_ALL], [IN2, IN2], [IN3, IN3], "x is not interior to the domain"),
+    ([IN, IN], [IN2, OUT_ALL], [IN3, IN3], "y is not interior to the domain"),
+    ([IN, IN], [IN2, IN2], [IN3, NAN], "z has a non-finite coordinate"),
+    ([IN, INF], [IN2, OUT_ALL], [IN3, IN3], "x has a non-finite coordinate"),
+    ([IN, IN], [IN2, IN], [IN3, IN3], "triangle report needs distinct points (x, y coincide)"),
+    ([IN, IN2], [IN2, IN3], [IN3, IN3], "triangle report needs distinct points (y, z coincide)"),
+    ([IN, IN2], [IN2, IN3], [IN3, IN2], "triangle report needs distinct points (x, z coincide)"),
+    ([IN, IN], [IN2, IN2], [IN3], "point arrays must be (m, dim) and congruent"),
+]
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS)
+@pytest.mark.parametrize("X, Y, Z, message", TRIPLE_MESSAGES)
+def test_row_triangle_form_keeps_the_messages_of_triangle_report(kind, X, Y, Z, message):
+    with warnings.catch_warnings(), pytest.raises(GeometryError) as err:
+        warnings.simplefilter("error")
+        triangle_batch(ROW_KINDS[kind], X, Y, Z)
+    assert str(err.value) == message
+
+
+CLOSED_FORM_MESSAGES = [  # (function, X, Y, the pair call's message for the first offending pair)
+    *[(lambda X, Y: funk_polytope_closed_form(SQUARE, X, Y), X, Y, message)
+      for X, Y, message in BATCH_MESSAGES],
+    (funk_unit_ball_closed_form, [IN, OUT], [IN2, IN3],
+     "arguments must lie strictly inside the unit ball"),
+    (funk_unit_ball_closed_form, [IN, IN2], [IN3, NAN], "y has a non-finite coordinate"),
+    (funk_unit_ball_closed_form, [OUT, IN], [IN2, NAN],
+     "arguments must lie strictly inside the unit ball"),
+    (minkowski_max_distance, [IN, INF], [IN2, IN3], "u has a non-finite coordinate"),
+    (minkowski_max_distance, [IN, IN2], [IN3], "point arrays must be (m, dim) and congruent"),
+]
+
+
+@pytest.mark.parametrize("fn, X, Y, message", CLOSED_FORM_MESSAGES)
+def test_row_closed_forms_keep_the_messages_of_their_pair_calls(fn, X, Y, message):
+    with warnings.catch_warnings(), pytest.raises(GeometryError) as err:
+        warnings.simplefilter("error")
+        fn(X, Y)
+    assert str(err.value) == message
 
 
 # --- the containment cache ------------------------------------------------------------

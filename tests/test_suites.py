@@ -1,8 +1,16 @@
 """The check suites not already exercised by the acceptance module."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from funkgeo.suites import SUITES, RunConfig, run_suite
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import SMOKE_SUITE_SCALE, suite_counts  # noqa: E402
 
 REDUCED = {
     "convex_core.rays": 600,
@@ -58,6 +66,27 @@ def test_a_count_moves_only_the_entry_of_the_check_it_sizes(key, check):
     assert [c["name"] for c in before["checks"]] == [c["name"] for c in after["checks"]]
     moved = [c["name"] for c, d in zip(before["checks"], after["checks"]) if c != d]
     assert moved == [check]
+
+
+def test_suite_all_reads_the_count_keys_the_benchmark_scans(monkeypatch):
+    # The benchmark's suite-all workload is defined by a scan of suites.py for
+    # cfg.count("key", default) literals; a count read any other way, or a
+    # default the scan misreads, would change the workload unseen.
+    defaults = {}
+    count = RunConfig.count
+
+    def recording(self, key, default):
+        defaults[key] = default
+        return count(self, key, default)
+
+    monkeypatch.setattr(RunConfig, "count", recording)
+    cfg = RunConfig(seed=0, counts=suite_counts(ROOT / "src", SMOKE_SUITE_SCALE))
+    run_suite("all", cfg)
+    read = {key for kind, key in cfg.read if kind == "count"}
+    scanned = suite_counts(ROOT / "src", 1)  # at scale 1, the defaults
+    assert read == set(defaults) and len(read) == 34
+    assert read - set(scanned) == {"completeness.horizon"}  # the one unscaled key
+    assert {key: defaults[key] for key in scanned} == scanned
 
 
 def test_unknown_suite_rejected():
