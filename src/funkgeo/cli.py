@@ -8,10 +8,12 @@ Subcommands::
     geodesic  verify DOMAIN P P [P ...]
     project   DOMAIN X (--segment P Q | --onto FILE)
     tangent   DOMAIN P V [--steps t1,t2,...]
-    suite     NAME [--seed N] [--tol K=V ...] [--count K=V ...] [--out FILE]
+    suite     NAME [--seed N] [--count K=V ...] [--out FILE]
 
 Points are comma-separated coordinates, e.g. ``0.5,0`` (parentheses are
-tolerated).  Exit codes: 0 all good, 1 an invariant check failed,
+tolerated).  A suite's gates are constants of its checks, and each check's
+report detail shows the value it measured; ``--count KEY=N`` sets the size
+of one sample.  Exit codes: 0 all good, 1 an invariant check failed,
 2 invalid input.
 """
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -44,22 +45,19 @@ def _parse_point(text: str) -> np.ndarray:
         raise GeometryError(f"cannot parse point {text!r}: {exc}") from exc
 
 
-def _parse_overrides(pairs: list[str], kind: str) -> dict:
-    """KEY=VALUE pairs: a tolerance finite and at least machine epsilon, a count at least 1."""
+def _parse_counts(pairs: list[str]) -> dict:
+    """KEY=VALUE pairs, each value an integer of at least 1."""
     out = {}
     for item in pairs or []:
         key, sep, raw = item.partition("=")
         key = key.strip()
         if not sep:
-            raise GeometryError(f"--{kind} expects KEY=VALUE, got {item!r}")
+            raise GeometryError(f"--count expects KEY=VALUE, got {item!r}")
         try:
-            value = float(raw) if kind == "tol" else int(raw)
+            value = int(raw)
         except ValueError:
-            value = math.nan  # fails both range tests below
-        if kind == "tol" and not np.finfo(float).eps <= value < math.inf:
-            raise GeometryError(f"--tol {key} must be a finite number of at least "
-                                f"machine epsilon, got {raw!r}")
-        if kind == "count" and not value >= 1:
+            value = 0  # fails the range test below
+        if value < 1:
             raise GeometryError(f"--count {key} must be an integer of at least 1, got {raw!r}")
         out[key] = value
     return out
@@ -163,13 +161,9 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    cfg = RunConfig(seed=args.seed,
-                    tolerances=_parse_overrides(args.tol, "tol"),
-                    counts=_parse_overrides(args.count, "count"))
+    cfg = RunConfig(seed=args.seed, counts=_parse_counts(args.count))
     report = run_suite(args.name, cfg)
-    unknown = [f"--{kind} {key}"
-               for kind, given in (("tol", cfg.tolerances), ("count", cfg.counts))
-               for key in given if (kind, key) not in cfg.read]
+    unknown = [f"--count {key}" for key in cfg.counts if key not in cfg.read]
     if unknown:
         raise KeyError(f"no check of suite {args.name!r} reads {', '.join(unknown)}")
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -232,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a named check suite")
     p.add_argument("name", help=f"one of {sorted(SUITES)} or 'all'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", action="append", metavar="KEY=VAL")
     p.add_argument("--count", action="append", metavar="KEY=VAL")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_suite)

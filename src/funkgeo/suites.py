@@ -2,13 +2,15 @@
 
 Each suite exercises one group of invariants at desk scale.  It is a
 generator that yields its checks one by one, and :func:`run_suite` wraps
-them in a deterministic report (seed, tolerance and count overrides, one
-pass/fail entry per check).  Check k of a suite draws from its own random
-stream, ``np.random.default_rng([seed, salt, k])`` with the suite's salt
-from :data:`SUITES`, so a change to one check's draws moves only its own
-report entry, and those of the checks that reuse its samples.  Checks are
-always executed and reported in definition order, so reports are
-byte-stable for a fixed seed apart from the single run-metadata line.
+them in a deterministic report (seed, count overrides, one pass/fail entry
+per check, its detail the measured value).  Gates are constants written at
+each check; only sample counts (``cfg.count``) are set per run.  Check k of
+a suite draws from its own random stream,
+``np.random.default_rng([seed, salt, k])`` with the suite's salt from
+:data:`SUITES`, so a change to one check's draws moves only its own report
+entry, and those of the checks that reuse its samples.  Checks are always
+executed and reported in definition order, so reports are byte-stable for
+a fixed seed apart from the single run-metadata line.
 """
 
 from __future__ import annotations
@@ -78,19 +80,14 @@ class CheckResult:
 
 @dataclass
 class RunConfig:
-    """Seed, tolerance and count overrides of a run, and the keys its checks read."""
+    """Seed and count overrides of a run, and the count keys its checks read."""
 
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
     read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
-    def tol(self, key: str, default: float) -> float:
-        self.read.add(("tol", key))
-        return float(self.tolerances.get(key, default))
-
     def count(self, key: str, default: int) -> int:
-        self.read.add(("count", key))
+        self.read.add(key)
         return int(self.counts.get(key, default))
 
 
@@ -220,7 +217,7 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
             hit = domain.ray_boundary(x, y)
             if not hit.at_infinity:
                 worst = max(worst, abs(domain.contains(hit.point)))
-    gate = cfg.tol("convex_core.boundary", tol.EPS_BD)
+    gate = tol.EPS_BD
     rng = yield CheckResult("ray_cast_boundary_consistency", worst <= gate,
                             {"max_abs_margin": worst, "tolerance": gate})
 
@@ -264,7 +261,7 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
             continue
         if not hit.at_infinity:
             worst = max(worst, float(np.linalg.norm(hit_img.point - amap(hit.point))))
-    gate = cfg.tol("convex_core.equivariance", tol.EPS_GEOM)
+    gate = tol.EPS_GEOM
     rng = yield CheckResult("affine_equivariance_of_ray_cast", worst <= gate,
                             {"max_point_gap": worst, "tolerance": gate})
 
@@ -298,7 +295,7 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
         t_both = both.ray_boundary(x, y).t
         t_min = min(p.ray_boundary(x, y).t for p in parts)
         worst = max(worst, abs(t_both - t_min))
-    gate = cfg.tol("convex_core.intersection", tol.EPS_GEOM)
+    gate = tol.EPS_GEOM
     rng = yield CheckResult("intersection_hit_is_min_of_children", worst <= gate,
                             {"max_parameter_gap": worst, "tolerance": gate})
 
@@ -306,7 +303,7 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
 def suite_oracle_closedform(cfg: RunConfig) -> Checks:
     rng = yield
     per_dim = cfg.count("oracle.pairs_per_dim", 2500)
-    gate = cfg.tol("oracle.agreement", 1e-9)
+    gate = 1e-9
 
     worst = 0.0
     for dim in (2, 3, 4, 5):
@@ -352,7 +349,7 @@ def suite_axioms(cfg: RunConfig) -> Checks:
         fxz = funk_batch(domain, X, Z)
         min_value = min(min_value, float(np.min([fxy.min(), fyz.min(), fxz.min()])))
         max_violation = max(max_violation, float(np.max(fxz - fxy - fyz)))
-    gate = cfg.tol("axioms.triangle_slack", 1e-12)
+    gate = 1e-12
     rng = yield CheckResult("nonnegativity", min_value >= 0.0,
                             {"min_value": min_value, "triples": total})
     rng = yield CheckResult("triangle_inequality", max_violation <= gate,
@@ -369,7 +366,7 @@ def suite_axioms(cfg: RunConfig) -> Checks:
         gap = np.abs(funk_batch(domain, X, Y)
                      - funk_batch(domain, X, Z) - funk_batch(domain, Z, Y))
         worst = max(worst, float(np.max(gap)))
-    gate = cfg.tol("axioms.projectivity", 1e-9)
+    gate = 1e-9
     rng = yield CheckResult("projectivity_on_segments", worst <= gate,
                             {"max_gap": worst, "tolerance": gate,
                              "triples": n_proj})
@@ -414,7 +411,7 @@ def suite_monotonicity(cfg: RunConfig) -> Checks:
     Y = sample_interior(both, rng, 500, bound=1.0)
     worst = float(np.max(np.abs(funk_batch(both, X, Y) - np.maximum(
         funk_batch(square, X, Y), funk_batch(disk, X, Y)))))
-    gate = cfg.tol("monotonicity.intersection", 1e-9)
+    gate = 1e-9
     rng = yield CheckResult("intersection_distance_is_max", worst <= gate,
                             {"max_gap": worst, "tolerance": gate})
 
@@ -428,7 +425,7 @@ def suite_monotonicity(cfg: RunConfig) -> Checks:
     ambient_y = origin + Yp @ U
     gap = np.abs(funk_batch(slice_poly, Xp, Yp)
                  - funk_batch(box3, ambient_x, ambient_y))
-    gate = cfg.tol("monotonicity.slice", 1e-9)
+    gate = 1e-9
     rng = yield CheckResult("plane_slice_inherits_distance",
                             float(np.max(gap)) <= gate,
                             {"max_gap": float(np.max(gap)), "tolerance": gate})
@@ -439,7 +436,7 @@ def suite_invariance(cfg: RunConfig) -> Checks:
     square = unit_square()
     maps = cfg.count("invariance.affine_maps", 1000)
     pairs_per_map = cfg.count("invariance.pairs_per_map", 8)
-    gate = cfg.tol("invariance.funk", 1e-9)
+    gate = 1e-9
 
     worst = 0.0
     for _ in range(maps):
@@ -453,7 +450,7 @@ def suite_invariance(cfg: RunConfig) -> Checks:
                             {"max_gap": worst, "maps": maps, "tolerance": gate})
 
     proj_maps = cfg.count("invariance.projective_maps", 1000)
-    gate_h = cfg.tol("invariance.hilbert", 1e-9)
+    gate_h = 1e-9
     corners = square.vertices
     worst = 0.0
     for _ in range(proj_maps):
@@ -473,11 +470,15 @@ def suite_invariance(cfg: RunConfig) -> Checks:
                             {"max_gap": worst, "maps": proj_maps,
                              "tolerance": gate_h})
 
-    hil_gap = 0.0
+    # H(x, y) = 1/2 log [b, x, y, a] for the exits a (past y) and b (behind x).
+    worst = 0.0
     for x, y in zip(sample_interior(square, rng, 200, bound=1.0),
                     sample_interior(square, rng, 200, bound=1.0)):
-        hil_gap = max(hil_gap, abs(hilbert(square, x, y) - hilbert(square, y, x)))
-    rng = yield CheckResult("hilbert_symmetry", hil_gap <= 1e-12, {"max_gap": hil_gap})
+        a, b = square.ray_boundary(x, y).point, square.ray_boundary(y, x).point
+        h = hilbert(square, x, y)
+        worst = max(worst, abs(h - 0.5 * math.log(cross_ratio(b, x, y, a))) / max(1.0, h))
+    rng = yield CheckResult("hilbert_is_half_log_cross_ratio", worst <= 1e-9,
+                            {"max_relative_gap": worst, "tolerance": 1e-9})
 
     polys = [unit_square(), random_polygon(rng)]
     worst = -np.inf
@@ -489,7 +490,7 @@ def suite_invariance(cfg: RunConfig) -> Checks:
         Y = sample_interior(poly, rng, 40 * len(X), bound=1.5)
         rf = funk_batch(poly, Y, np.repeat(X, 40, axis=0)).reshape(len(X), 40)
         worst = max(worst, float(np.max(rf.max(axis=1) - bounds)))
-    gate_rb = cfg.tol("invariance.reverse_bound", 1e-9)
+    gate_rb = 1e-9
     rng = yield CheckResult("reverse_funk_diameter_bound", worst <= gate_rb,
                             {"max_excess": worst, "tolerance": gate_rb})
 
@@ -528,7 +529,7 @@ def suite_completeness(cfg: RunConfig) -> Checks:
     decreasing = sups[10] > sups[100] > sups[1000]
     limit_is_boundary = abs(square.contains(b)) <= tol.EPS_BD \
         and np.linalg.norm(chord(horizon) - b) < 1e-3
-    gate = cfg.tol("completeness.tail", 1e-3)
+    gate = 1e-3
     rng = yield CheckResult(
         "backward_cauchy_chord_tail", sups[1000] < gate and decreasing
         and limit_is_boundary,
@@ -556,7 +557,7 @@ def suite_completeness(cfg: RunConfig) -> Checks:
 def suite_ratio(cfg: RunConfig) -> Checks:
     rng = yield
     n = cfg.count("ratio.configs", 10_000)
-    gate = cfg.tol("ratio.round_trip", 1e-10)
+    gate = 1e-10
 
     worst_rt = 0.0
     worst_fwd = 0.0
@@ -595,7 +596,7 @@ def suite_balls(cfg: RunConfig) -> Checks:
     rng = yield
     square = unit_square()
     ball = unit_ball()
-    gate = cfg.tol("balls.radius", 1e-8)
+    gate = 1e-8
     samples = cfg.count("balls.sphere_samples", 1000)
 
     worst = 0.0
@@ -617,11 +618,9 @@ def suite_balls(cfg: RunConfig) -> Checks:
     realized = fb.realized
     center_gap = float(np.linalg.norm(realized.center - math.exp(-rho) * x0))
     radius_gap = abs(realized.radius - (1.0 - math.exp(-rho)))
-    gate_b = cfg.tol("balls.unit_ball_form", 1e-9)
     rng = yield CheckResult(
         "unit_ball_forward_ball_is_euclidean",
-        isinstance(realized, EuclideanBall)
-        and center_gap <= gate_b and radius_gap <= gate_b,
+        isinstance(realized, EuclideanBall) and max(center_gap, radius_gap) <= 1e-9,
         {"center_gap": center_gap, "radius_gap": radius_gap})
 
     x1 = np.array([0.2, 0.1])
@@ -726,13 +725,12 @@ def suite_triangle(cfg: RunConfig) -> Checks:
     rng = yield
     square = unit_square()
     ball = unit_ball()
-    gate = cfg.tol("triangle.defect", 1e-9)
 
     n_edge = cfg.count("triangle.edge_triples", 1000)
     defect, aligned = triangle_batch(square, *_edge_aligned_triples(rng, n_edge).swapaxes(0, 1))
     worst_defect = float(np.max(np.abs(defect)))
     rng = yield CheckResult("square_edge_triples_reach_equality",
-                            worst_defect <= gate and bool(aligned.all()),
+                            worst_defect <= 1e-9 and bool(aligned.all()),
                             {"max_defect": worst_defect, "triples": n_edge})
 
     # Near-collinear triples are regenerated: the hits of an almost-straight
@@ -1000,12 +998,11 @@ def suite_tangent(cfg: RunConfig) -> Checks:
             rows = finite_difference_check(domain, p, x, y, grids[0])
             order = convergence_order(rows)
             min_order = min(min_order, order)
-    gate = cfg.tol("tangent.order", 0.9)
+    gate = 0.9
     rng = yield CheckResult("difference_quotient_first_order", min_order >= gate,
                             {"min_order": min_order, "tolerance": gate})
 
     n = cfg.count("tangent.identity_samples", 10_000)
-    band = cfg.tol("tangent.identity_band", 1e-7)
 
     def draw(k):  # rows (p + v, gauge of v at p)
         V = rng.standard_normal((k, 2))
@@ -1014,7 +1011,7 @@ def suite_tangent(cfg: RunConfig) -> Checks:
         # The gauge is 1/t for the exit parameter t of the ray p -> p + v.
         return np.column_stack([P + V, 1.0 / square._exits(P, P + V)])
 
-    rows, _ = _accepted(n, draw, lambda B: np.abs(B[:, 2] - 1.0) > band)
+    rows, _ = _accepted(n, draw, lambda B: np.abs(B[:, 2] - 1.0) > 1e-7)
     mismatches = int(np.sum((rows[:, 2] < 1.0) != (square._margins(rows[:, :2]) > 0.0)))
     rng = yield CheckResult("unit_ball_is_translated_domain", mismatches == 0,
                             {"samples": n, "mismatches": mismatches})
@@ -1041,8 +1038,6 @@ def suite_tangent(cfg: RunConfig) -> Checks:
 def suite_appendix(cfg: RunConfig) -> Checks:
     rng = yield
     n = cfg.count("appendix.constructions", 1000)
-    gate = cfg.tol("appendix.product", 1e-9)
-
     hand = menelaus_product([0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                             [1.5, -0.5], [0.0, 0.25], [0.5, 0.0])
     rng = yield CheckResult("menelaus_hand_instance", abs(hand - 1.0) <= 1e-12,
@@ -1069,7 +1064,7 @@ def suite_appendix(cfg: RunConfig) -> Checks:
             continue
         worst = max(worst, abs(menelaus_product(A, B, C, Ap, Bp, Cp) - 1.0))
         done += 1
-    rng = yield CheckResult("menelaus_transversals", worst <= gate,
+    rng = yield CheckResult("menelaus_transversals", worst <= 1e-9,
                             {"max_gap": worst, "constructions": n})
 
     # Independent random side points are almost surely non-aligned; the rare
@@ -1121,7 +1116,7 @@ def suite_appendix(cfg: RunConfig) -> Checks:
         min_off = min(min_off, abs(off + 1.0))
         done += 1
     rng = yield CheckResult("ceva_concurrent_cevians",
-                            abs(medians + 1.0) <= 1e-12 and worst <= gate,
+                            abs(medians + 1.0) <= 1e-12 and worst <= 1e-9,
                             {"max_gap": worst, "median_product": medians})
     rng = yield CheckResult("ceva_detects_perturbation", min_off > 1e-3,
                             {"min_deviation": min_off})
@@ -1134,9 +1129,8 @@ def suite_appendix(cfg: RunConfig) -> Checks:
         P = random_projective_map(rng, pts)
         img = apply_projective(P, pts)
         worst = max(worst, abs(cross_ratio(*img) - cross_ratio(*pts)))
-    gate_cr = cfg.tol("appendix.cross_ratio", 1e-9)
     rng = yield CheckResult("cross_ratio_projective_invariance",
-                            abs(base - 3.0) <= 1e-12 and worst <= gate_cr,
+                            abs(base - 3.0) <= 1e-12 and worst <= 1e-9,
                             {"unit_interval_value": base, "max_gap": worst})
 
     # Distance-ratio replay of the triangle inequality: the product of the
@@ -1180,11 +1174,17 @@ def suite_relative(cfg: RunConfig) -> Checks:
     rng = yield CheckResult("self_relative_distance_doubles_hilbert",
                             worst <= 1e-12, {"max_gap": worst})
 
-    worst = 0.0
-    for x, y in zip(X, Y):
-        worst = max(worst, abs(relative_funk(ball, None, x, y) - funk(ball, x, y)))
-    rng = yield CheckResult("whole_space_envelope_reduces_to_funk",
-                            worst <= 0.0, {"max_gap": worst})
+    # The box [-R, R]^2 adds F_box(y, x) = log1p(|x - y|/|x - a|) to F, and its
+    # exit a is at least R - 1 from x in the unit disk: 0 <= excess <= |y - x|/(R - 1).
+    lowest, ratio = 0.0, 0.0
+    for R in (1e2, 1e4, 1e6):
+        box = HPolytope.box([-R, -R], [R, R])
+        for x, y in zip(X[:100], Y[:100]):
+            excess = relative_funk(ball, box, x, y) - funk(ball, x, y)
+            bound = np.linalg.norm(y - x) / (R - 1.0)
+            lowest, ratio = min(lowest, excess), max(ratio, excess / bound)
+    rng = yield CheckResult("large_envelope_excess_within_bound", lowest >= 0.0 and ratio <= 1.0,
+                            {"max_ratio_to_bound": ratio})
 
     half = HPolytope([[0.0, -1.0]], [10.0], witness=[0.0, 0.0])  # x2 > -10
     addl = 0.0
@@ -1267,7 +1267,6 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> dict:
         "_runtime": f"{time.strftime('%Y-%m-%dT%H:%M:%S')} wall={elapsed:.3f}s",
         "suite": name,
         "seed": cfg.seed,
-        "tolerance_overrides": dict(cfg.tolerances),
         "count_overrides": {k: int(v) for k, v in cfg.counts.items()},
         "checks": checks,
         "passed": all(c["passed"] for c in checks),

@@ -2,7 +2,8 @@
 
 All values are chosen for double precision at desk scale (domains of
 diameter roughly 0.1 .. 100).  They are constants: nothing overrides them
-at run time.  A check suite's gates are separate, one ``--tol`` key each.
+at run time.  A check suite's gates are separate: constants written at
+each check in ``suites.py``.
 """
 
 # Boundary membership: |signed margin| below this counts as "on the boundary".

@@ -5,6 +5,7 @@ import pytest
 
 from funkgeo import tolerances
 from funkgeo.cli import main
+from funkgeo.suites import SUITES, CheckResult
 
 SQUARE = {
     "dim": 2,
@@ -175,80 +176,82 @@ def test_suite_unknown_name_exits_2(capsys):
     assert main(["suite", "nonsense"]) == 2
 
 
-def test_suite_tolerance_override_can_force_failure(capsys):
-    # a tolerance below the float rounding floor turns the suite red
-    assert main(["suite", "ratio", "--count", "ratio.configs=50",
-                 "--tol", "ratio.round_trip=3e-16"]) == 1
+def test_a_failing_check_exits_1_and_still_writes_its_report(tmp_path, monkeypatch):
+    monkeypatch.setitem(SUITES, "ratio", lambda cfg: [CheckResult("always_fails", False, {})])
+    out = tmp_path / "report.json"
+    assert main(["suite", "ratio", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [("always_fails", False)]
+
+
+def test_tol_option_is_rejected_when_arguments_are_parsed(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "ratio", "--tol", "ratio.round_trip=1e-9", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _constants():
     return {k: v for k, v in vars(tolerances).items() if k.isupper()}
 
 
-def test_suite_unknown_override_keys_exit_2(tmp_path, capsys):
+def test_suite_unknown_count_keys_exit_2(tmp_path, capsys):
     before = _constants()
     out = tmp_path / "report.json"
     assert main(["suite", "ratio", "--count", "ratio.configs=20",
                  "--count", "ratio.config=5", "--count", "axioms.triples=5",
-                 "--tol", "eps_bd=1e-6", "--tol", "ratio.round_trip=1e-9",
-                 "--tol", "ratio.roundtrip=1e-9", "--out", str(out)]) == 2
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    for key in ("--count ratio.config,", "--count axioms.triples", "--tol ratio.roundtrip",
-                "--tol eps_bd"):
-        assert key in err
-    assert "ratio.configs" not in err and "round_trip" not in err
+    assert "--count ratio.config," in err and "--count axioms.triples" in err
+    assert "ratio.configs" not in err
     assert not out.exists()
     assert _constants() == before
 
 
-def test_tolerance_override_must_exceed_machine_epsilon(capsys):
-    assert main(["suite", "ratio", "--tol", "ratio.round_trip=1e-300"]) == 2
-
-
-def test_tolerance_overrides_do_not_leak_between_runs(tmp_path, capsys):
+def test_count_overrides_do_not_leak_between_runs(tmp_path, capsys):
     before = _constants()
     args = ["suite", "convex-core", "--count", "convex_core.rays=20",
-            "--count", "convex_core.monotone=5", "--count", "convex_core.equivariance=5",
-            "--count", "convex_core.support=50", "--count", "convex_core.intersection=10"]
+            "--count", "convex_core.equivariance=5", "--count", "convex_core.support=50",
+            "--count", "convex_core.intersection=10"]
     # a module constant's name is no key: it exits 2 and changes nothing
-    assert main(args + ["--tol", "eps_bd=1e-6", "--out", str(tmp_path / "r0.json")]) == 2
-    assert "--tol eps_bd" in capsys.readouterr().err
+    assert main(args + ["--count", "eps_bd=5", "--out", str(tmp_path / "r0.json")]) == 2
+    assert "--count eps_bd" in capsys.readouterr().err
     assert not (tmp_path / "r0.json").exists()
     assert _constants() == before
-    assert main(args + ["--tol", "convex_core.boundary=1e-6",
+    assert main(args + ["--count", "convex_core.monotone=7",
                         "--out", str(tmp_path / "r1.json")]) == 0
     assert main(args + ["--out", str(tmp_path / "r2.json")]) == 0
     assert _constants() == before
-    gates = [check["detail"]["tolerance"]
-             for i in (1, 2)
-             for check in json.loads((tmp_path / f"r{i}.json").read_text())["checks"]
-             if check["name"] == "ray_cast_boundary_consistency"]
-    assert gates == [1e-6, tolerances.EPS_BD]
+    reports = [json.loads((tmp_path / f"r{i}.json").read_text()) for i in (1, 2)]
+    assert [r["count_overrides"].get("convex_core.monotone") for r in reports] == [7, None]
+    assert [c["detail"]["trials"] for r in reports for c in r["checks"]
+            if c["name"] == "hit_parameter_monotone_in_slack"] == [7, 300]
 
 
-def test_concurrent_suites_keep_their_own_gates(tmp_path):
-    gates = (1e-9, 2e-9)
-    barrier = threading.Barrier(len(gates))
+def test_concurrent_suites_keep_their_own_counts(tmp_path):
+    counts = (200, 300)
+    barrier = threading.Barrier(len(counts))
     codes = {}
 
-    def run(gate):
+    def run(n):
         barrier.wait(timeout=60)
-        codes[gate] = main(["suite", "ratio", "--count", "ratio.configs=300",
-                            "--tol", f"ratio.round_trip={gate!r}",
-                            "--out", str(tmp_path / f"{gate!r}.json")])
+        codes[n] = main(["suite", "ratio", "--count", f"ratio.configs={n}",
+                         "--out", str(tmp_path / f"{n}.json")])
 
-    threads = [threading.Thread(target=run, args=(gate,)) for gate in gates]
+    threads = [threading.Thread(target=run, args=(n,)) for n in counts]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
         assert not thread.is_alive()
-    assert codes == {gate: 0 for gate in gates}
-    for gate in gates:
-        report = json.loads((tmp_path / f"{gate!r}.json").read_text())
-        assert report["tolerance_overrides"] == {"ratio.round_trip": gate}
-        assert [c["detail"]["tolerance"] for c in report["checks"]
-                if "tolerance" in c["detail"]] == [gate, gate]
+    assert codes == {n: 0 for n in counts}
+    for n in counts:
+        report = json.loads((tmp_path / f"{n}.json").read_text())
+        assert report["count_overrides"] == {"ratio.configs": n}
+        assert report["checks"][0]["detail"]["configs"] == n
 
 
 @pytest.mark.parametrize("override, message", [
@@ -256,11 +259,7 @@ def test_concurrent_suites_keep_their_own_gates(tmp_path):
     (["--count", "ratio.configs=0"], "--count ratio.configs must be an integer of at least 1"),
     (["--count", "ratio.configs=-3"], "--count ratio.configs must be an integer of at least 1"),
     (["--count", "ratio.configs"], "--count expects KEY=VALUE"),
-    (["--tol", "ratio.round_trip=x"], "--tol ratio.round_trip must be a finite number"),
-    (["--tol", "ratio.round_trip=nan"], "--tol ratio.round_trip must be a finite number"),
-    (["--tol", "ratio.round_trip=inf"], "--tol ratio.round_trip must be a finite number"),
-], ids=["count-text", "count-zero", "count-negative", "count-no-value",
-        "tol-text", "tol-nan", "tol-inf"])
+], ids=["count-text", "count-zero", "count-negative", "count-no-value"])
 def test_invalid_override_values_exit_2(override, message, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["suite", "ratio", *override, "--out", str(out)]) == 2

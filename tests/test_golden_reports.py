@@ -3,7 +3,7 @@
 Each file under ``tests/golden`` holds one ``run_suite("all")`` report,
 without its ``_runtime`` line, and the Python and numpy versions that made
 it; ``tools/golden_reports.py`` rewrites them.  The test re-runs each
-report with the seed, counts and tolerances stored in the file.
+report with the seed and counts stored in the file.
 """
 
 import json
@@ -58,9 +58,7 @@ def test_report_bytes_match_golden(path):
                     f"{golden['numpy']}; this is Python {versions['python']} and numpy "
                     f"{versions['numpy']}, whose rounding may differ")
     stored = golden["report"]
-    fresh = run_suite("all", RunConfig(seed=stored["seed"],
-                                       tolerances=stored["tolerance_overrides"],
-                                       counts=stored["count_overrides"]))
+    fresh = run_suite("all", RunConfig(seed=stored["seed"], counts=stored["count_overrides"]))
     del fresh["_runtime"]
     payload = json.dumps(dict(versions, report=fresh), indent=2, sort_keys=True) + "\n"
     assert payload == text, f"{path.name}: first difference at {first_difference(stored, fresh)}"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from funkgeo import suites
 from funkgeo.suites import SUITES, RunConfig, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,11 +83,25 @@ def test_suite_all_reads_the_count_keys_the_benchmark_scans(monkeypatch):
     monkeypatch.setattr(RunConfig, "count", recording)
     cfg = RunConfig(seed=0, counts=suite_counts(ROOT / "src", SMOKE_SUITE_SCALE))
     run_suite("all", cfg)
-    read = {key for kind, key in cfg.read if kind == "count"}
     scanned = suite_counts(ROOT / "src", 1)  # at scale 1, the defaults
-    assert read == set(defaults) and len(read) == 34
-    assert read - set(scanned) == {"completeness.horizon"}  # the one unscaled key
+    assert cfg.read == set(defaults) and len(cfg.read) == 34
+    assert cfg.read - set(scanned) == {"completeness.horizon"}  # the one unscaled key
     assert {key: defaults[key] for key in scanned} == scanned
+
+
+@pytest.mark.parametrize("suite, name, check, fault", [
+    ("invariance", "hilbert", "hilbert_is_half_log_cross_ratio",
+     lambda f: lambda *a: f(*a) * (1.0 + 1e-8)),
+    ("relative", "relative_funk", "large_envelope_excess_within_bound",
+     lambda f: lambda *a: f(*a) + 1e-5),
+    ("relative", "relative_funk", "large_envelope_excess_within_bound",
+     lambda f: lambda *a: f(*a) - 1e-5),
+], ids=["hilbert-off", "envelope-excess-too-large", "envelope-excess-negative"])
+def test_checks_fail_on_a_faulty_metric(monkeypatch, suite, name, check, fault):
+    # a check that cannot fail shows nothing: a metric off by a little turns it red
+    monkeypatch.setattr(suites, name, fault(getattr(suites, name)))
+    report = run_suite(suite, RunConfig(seed=0, counts={**REDUCED, **SIXTEENTH}))
+    assert check in [c["name"] for c in report["checks"] if not c["passed"]]
 
 
 def test_unknown_suite_rejected():
