@@ -143,22 +143,26 @@ def relative_funk(omega: ConvexDomain, outer: ConvexDomain | None, x, y) -> floa
     return 0.0 if value < tol.F_CLAMP else value
 
 
-def _pairs(x, y, pair_call, names=("x", "y"), domain=None):
-    """x and y as congruent (m, n) rows of finite points, interior to ``domain`` if given,
-    and whether they were one pair.  If a row fails, the pairs go one by one through
-    ``pair_call``, so the first offending pair raises the message of a single call."""
-    if np.ndim(x) < 2:
-        x = _check_interior(domain, x, names[0]) if domain else as_point(x, name=names[0])
-        y = _check_interior(domain, y, names[1]) if domain else as_point(y, x.size, name=names[1])
-        return x[None], y[None], True
-    X, Y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if X.shape != Y.shape or X.ndim != 2 or (domain is not None and X.shape[1] != domain.dim):
+def _rows(points, row_call, names, domain=None):
+    """The points as congruent (m, n) arrays of finite rows, interior to ``domain`` if
+    given, and whether they were single points.  If a row fails, the rows go one by one
+    through ``row_call``, so the first offending row raises the message of a single call."""
+    if np.ndim(points[0]) < 2:
+        first = (_check_interior(domain, points[0], names[0]) if domain
+                 else as_point(points[0], name=names[0]))
+        rest = [_check_interior(domain, p, name) if domain else as_point(p, first.size, name=name)
+                for p, name in zip(points[1:], names[1:])]
+        return [first[None]] + [p[None] for p in rest], True
+    arrays = [np.asarray(p, dtype=float) for p in points]
+    shape = arrays[0].shape
+    if any(P.shape != shape for P in arrays) or len(shape) != 2 or (
+            domain is not None and shape[1] != domain.dim):
         raise GeometryError("point arrays must be (m, dim) and congruent")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all() and (domain is None or (
-            (domain._margins(X) > 0.0).all() and (domain._margins(Y) > 0.0).all()))):
-        for p, q in zip(X, Y):
-            pair_call(p, q)
-    return X, Y, False
+    if not all(np.isfinite(P).all() and (domain is None or (domain._margins(P) > 0.0).all())
+               for P in arrays):
+        for row in zip(*arrays):
+            row_call(*row)
+    return arrays, False
 
 
 def funk_polytope_closed_form(polytope: HPolytope, x, y):
@@ -167,8 +171,8 @@ def funk_polytope_closed_form(polytope: HPolytope, x, y):
     F(x, y) = max(0, max_j log((s_j - <a_j, x>) / (s_j - <a_j, y>))).
     Takes two points, or two (m, dim) arrays with one distance per row.
     """
-    X, Y, single = _pairs(x, y, lambda p, q: funk_polytope_closed_form(polytope, p, q),
-                          domain=polytope)
+    (X, Y), single = _rows((x, y), lambda p, q: funk_polytope_closed_form(polytope, p, q),
+                           ("x", "y"), polytope)
     # Row by row, so that rows round as single pairs do (one product of all rows would not).
     slack_x, slack_y = (polytope.b - np.matmul(P[:, None], polytope.A.T)[:, 0] for P in (X, Y))
     value = np.maximum(0.0, np.log(slack_x / slack_y).max(axis=1))
@@ -186,7 +190,7 @@ def funk_unit_ball_closed_form(x, y):
 
     Takes two points, or two (m, dim) arrays with one distance per row.
     """
-    X, Y, single = _pairs(x, y, funk_unit_ball_closed_form)
+    (X, Y), single = _rows((x, y), funk_unit_ball_closed_form, ("x", "y"))
     nx2, ny2, dot = _rowdot(X, X), _rowdot(Y, Y), _rowdot(X, Y)
     if (nx2 >= 1.0).any() or (ny2 >= 1.0).any():
         raise GeometryError("arguments must lie strictly inside the unit ball")
@@ -223,7 +227,7 @@ def distance_from_ratio(fxy: float, t: float) -> float:
 
 def minkowski_max_distance(u, v):
     """The weak Minkowski distance max_i max(0, u_i - v_i), of a pair or of each row pair."""
-    U, V, single = _pairs(u, v, minkowski_max_distance, ("u", "v"))
+    (U, V), single = _rows((u, v), minkowski_max_distance, ("u", "v"))
     value = np.maximum(0.0, (U - V).max(axis=1))
     return float(value[0]) if single else value
 

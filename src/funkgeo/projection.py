@@ -31,7 +31,7 @@ from .convex_core import (
     LinearForm,
     as_point,
 )
-from .metric_engine import funk
+from .metric_engine import _funk, funk
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -92,8 +92,12 @@ def nearest_on_segment(domain: ConvexDomain, x, seg) -> Foot:
     if domain.contains(p) <= 0.0 or domain.contains(q) <= 0.0:
         raise GeometryError("segment endpoints must be interior to the domain")
 
+    # Points of the segment are interior by convexity, so the search casts
+    # without validating them again; one pushed out by rounding still raises.
+    d = q - p
+
     def g(t: float) -> float:
-        return funk(domain, x, p + t * (q - p))
+        return _funk(domain, x, p + t * d)
 
     tol_t = 1e-12
     t_hat = _golden_min(g, 0.0, 1.0, tol_t)
@@ -104,7 +108,7 @@ def nearest_on_segment(domain: ConvexDomain, x, seg) -> Foot:
     left = _sublevel_edge(g, t_hat, 0.0, level, tol_t)
     right = _sublevel_edge(g, t_hat, 1.0, level, tol_t)
     t_star = 0.5 * (left + right)
-    point = p + t_star * (q - p)
+    point = p + t_star * d
     return Foot(point=point, distance=g(t_star), param=float(t_star))
 
 

@@ -33,6 +33,7 @@ from .convex_core import (
     HPolytope,
     IntersectionDomain,
     LinearForm,
+    _row_lengths,
     supporting_functional,
 )
 from .finsler_tangent import (
@@ -184,13 +185,20 @@ def apply_projective(P: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _intersect_lines(p0, d0, p1, d1):
-    """Intersection of two parametrized 2-d lines, or None when near parallel."""
-    M = np.column_stack([d0, -d1])
-    det = float(np.linalg.det(M))
-    if abs(det) < 1e-6:
-        return None
-    s = np.linalg.solve(M, p1 - p0)
-    return p0 + s[0] * d0
+    """Row intersections of the 2-d lines p0 + s*d0 and p1 + u*d1 by Cramer's rule;
+    nan rows where the lines are near parallel."""
+    r = p1 - p0
+    det = d1[:, 0] * d0[:, 1] - d0[:, 0] * d1[:, 1]
+    s = np.divide(d1[:, 0] * r[:, 1] - r[:, 0] * d1[:, 1], det,
+                  out=np.full(len(det), np.nan), where=np.abs(det) >= 1e-6)
+    return p0 + s[:, None] * d0
+
+
+def _well_formed(S: np.ndarray) -> np.ndarray:
+    """Rows (A, B, C, A', B', C') of finite points whose triangle ABC has doubled
+    area at least 0.2."""
+    U, V = S[:, 1] - S[:, 0], S[:, 2] - S[:, 0]
+    return np.isfinite(S).all(axis=(1, 2)) & (np.abs(U[:, 0] * V[:, 1] - U[:, 1] * V[:, 0]) >= 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +479,12 @@ def suite_invariance(cfg: RunConfig) -> Checks:
                              "tolerance": gate_h})
 
     # H(x, y) = 1/2 log [b, x, y, a] for the exits a (past y) and b (behind x).
-    worst = 0.0
-    for x, y in zip(sample_interior(square, rng, 200, bound=1.0),
-                    sample_interior(square, rng, 200, bound=1.0)):
-        a, b = square.ray_boundary(x, y).point, square.ray_boundary(y, x).point
-        h = hilbert(square, x, y)
-        worst = max(worst, abs(h - 0.5 * math.log(cross_ratio(b, x, y, a))) / max(1.0, h))
+    X = sample_interior(square, rng, 200, bound=1.0)
+    Y = sample_interior(square, rng, 200, bound=1.0)
+    A = X + square._exits(X, Y)[:, None] * (Y - X)
+    B = Y + square._exits(Y, X)[:, None] * (X - Y)
+    H = np.array([hilbert(square, x, y) for x, y in zip(X, Y)])
+    worst = float(np.max(np.abs(H - 0.5 * np.log(cross_ratio(B, X, Y, A))) / np.maximum(1.0, H)))
     rng = yield CheckResult("hilbert_is_half_log_cross_ratio", worst <= 1e-9,
                             {"max_relative_gap": worst, "tolerance": 1e-9})
 
@@ -1043,51 +1051,45 @@ def suite_appendix(cfg: RunConfig) -> Checks:
     rng = yield CheckResult("menelaus_hand_instance", abs(hand - 1.0) <= 1e-12,
                             {"product": hand})
 
-    worst = 0.0
-    min_off = np.inf
-    done = 0
-    while done < n:
-        A, B, C = rng.uniform(-2, 2, (3, 2))
-        u, v = B - A, C - A
-        if abs(u[0] * v[1] - u[1] * v[0]) < 0.2:
-            continue
-        p0 = rng.uniform(-1, 1, 2)
-        d = rng.standard_normal(2)
-        d /= np.linalg.norm(d)
-        Ap = _intersect_lines(p0, d, C, B - C)
-        Bp = _intersect_lines(p0, d, A, C - A)
-        Cp = _intersect_lines(p0, d, B, A - B)
-        if Ap is None or Bp is None or Cp is None:
-            continue
-        if min(np.linalg.norm(Ap - C), np.linalg.norm(Bp - A),
-               np.linalg.norm(Cp - B)) < 1e-3:
-            continue
-        worst = max(worst, abs(menelaus_product(A, B, C, Ap, Bp, Cp) - 1.0))
-        done += 1
+    # Each construction is a row (A, B, C, A', B', C') of six points, drawn in
+    # blocks; one oracle call takes all rows.
+    def transversals(k):  # triangles and where a random line meets their side lines
+        T = rng.uniform(-2, 2, (k, 3, 2))
+        p0 = rng.uniform(-1, 1, (k, 2))
+        d = rng.standard_normal((k, 2))
+        d /= _row_lengths(d)[:, None]
+        A, B, C = T.swapaxes(0, 1)
+        feet = [_intersect_lines(p0, d, *side) for side in ((C, B - C), (A, C - A), (B, A - B))]
+        return np.concatenate([T, np.stack(feet, axis=1)], axis=1)
+
+    def clear_of_vertices(S):
+        A, B, C, Ap, Bp, Cp = S.swapaxes(0, 1)
+        near = np.minimum(np.minimum(_row_lengths(Ap - C), _row_lengths(Bp - A)),
+                          _row_lengths(Cp - B))
+        return _well_formed(S) & (near >= 1e-3)
+
+    S, _ = _accepted(n, transversals, clear_of_vertices)
+    worst = float(np.max(np.abs(menelaus_product(*S.swapaxes(0, 1)) - 1.0)))
     rng = yield CheckResult("menelaus_transversals", worst <= 1e-9,
                             {"max_gap": worst, "constructions": n})
 
     # Independent random side points are almost surely non-aligned; the rare
     # near-aligned draw is a measure-zero coincidence and is redrawn.
-    coincidences = 0
-    done = 0
-    while done < n:
-        A, B, C = rng.uniform(-2, 2, (3, 2))
-        u, v = B - A, C - A
-        if abs(u[0] * v[1] - u[1] * v[0]) < 0.2:
-            continue
-        params = rng.uniform(-2.0, 3.0, 3)
-        if np.any(np.abs(params) < 0.05) or np.any(np.abs(params - 1.0) < 0.05):
-            continue
-        Ap = params[0] * B + (1 - params[0]) * C
-        Bp = params[1] * C + (1 - params[1]) * A
-        Cp = params[2] * A + (1 - params[2]) * B
-        off = menelaus_product(A, B, C, Ap, Bp, Cp)
-        if abs(off - 1.0) <= 1e-4:
-            coincidences += 1
-            continue
-        min_off = min(min_off, abs(off - 1.0))
-        done += 1
+    def side_points(k):  # parameters within 0.05 of a vertex give nan rows
+        T = rng.uniform(-2, 2, (k, 3, 2))
+        params = rng.uniform(-2.0, 3.0, (k, 3, 1))
+        params[(np.abs(params) < 0.05) | (np.abs(params - 1.0) < 0.05)] = np.nan
+        A, B, C = T.swapaxes(0, 1)
+        # A' = t B + (1 - t) C on line BC, B' on line CA and C' on line AB.
+        to, off = np.stack([B, C, A], axis=1), np.stack([C, A, B], axis=1)
+        return np.concatenate([T, params * to + (1 - params) * off], axis=1)
+
+    def misaligned(S):
+        return np.abs(menelaus_product(*S.swapaxes(0, 1)) - 1.0) > 1e-4
+
+    S, coincidences = _accepted(n, lambda k: _accepted(k, side_points, _well_formed)[0],
+                                misaligned)
+    min_off = float(np.min(np.abs(menelaus_product(*S.swapaxes(0, 1)) - 1.0)))
     rng = yield CheckResult("menelaus_detects_misalignment",
                             min_off > 1e-4 and coincidences <= n // 20,
                             {"min_deviation": min_off,
@@ -1095,26 +1097,21 @@ def suite_appendix(cfg: RunConfig) -> Checks:
 
     medians = ceva_product([0.0, 0.0], [2.0, 0.0], [0.0, 2.0],
                            [1.0, 1.0], [0.0, 1.0], [1.0, 0.0])
-    worst = 0.0
-    min_off = np.inf
-    done = 0
-    while done < n:
-        A, B, C = rng.uniform(-2, 2, (3, 2))
-        u, v = B - A, C - A
-        if abs(u[0] * v[1] - u[1] * v[0]) < 0.2:
-            continue
-        w = rng.uniform(0.1, 1.0, 3)
-        P = (w[0] * A + w[1] * B + w[2] * C) / w.sum()
-        Ap = _intersect_lines(A, P - A, C, B - C)
-        Bp = _intersect_lines(B, P - B, A, C - A)
-        Cp = _intersect_lines(C, P - C, B, A - B)
-        if Ap is None or Bp is None or Cp is None:
-            continue
-        worst = max(worst, abs(ceva_product(A, B, C, Ap, Bp, Cp) + 1.0))
-        off = ceva_product(A, B, C, Ap, Bp,
-                           Cp + 0.05 * (A - B) / np.linalg.norm(A - B))
-        min_off = min(min_off, abs(off + 1.0))
-        done += 1
+
+    def cevians(k):  # triangles and the feet of cevians through a random inner point
+        T = rng.uniform(-2, 2, (k, 3, 2))
+        w = rng.uniform(0.1, 1.0, (k, 3, 1))
+        P = (w * T).sum(axis=1) / w.sum(axis=1)
+        A, B, C = T.swapaxes(0, 1)
+        feet = [_intersect_lines(V, P - V, *side)
+                for V, side in ((A, (C, B - C)), (B, (A, C - A)), (C, (B, A - B)))]
+        return np.concatenate([T, np.stack(feet, axis=1)], axis=1)
+
+    S, _ = _accepted(n, cevians, _well_formed)
+    A, B, C, Ap, Bp, Cp = S.swapaxes(0, 1)
+    worst = float(np.max(np.abs(ceva_product(A, B, C, Ap, Bp, Cp) + 1.0)))
+    slid = Cp + 0.05 * (A - B) / _row_lengths(A - B)[:, None]
+    min_off = float(np.min(np.abs(ceva_product(A, B, C, Ap, Bp, slid) + 1.0)))
     rng = yield CheckResult("ceva_concurrent_cevians",
                             abs(medians + 1.0) <= 1e-12 and worst <= 1e-9,
                             {"max_gap": worst, "median_product": medians})
@@ -1122,13 +1119,15 @@ def suite_appendix(cfg: RunConfig) -> Checks:
                             {"min_deviation": min_off})
 
     base = cross_ratio([-1.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0])
-    worst = 0.0
+    rows, images = [], []
     for _ in range(cfg.count("appendix.cross_ratio_maps", 300)):
         pts = np.array([[-1.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         pts = pts + rng.uniform(-0.2, 0.2) * np.array([[1.0, 0.5]] * 4)
         P = random_projective_map(rng, pts)
-        img = apply_projective(P, pts)
-        worst = max(worst, abs(cross_ratio(*img) - cross_ratio(*pts)))
+        rows.append(pts)
+        images.append(apply_projective(P, pts))
+    rows, images = np.array(rows).swapaxes(0, 1), np.array(images).swapaxes(0, 1)
+    worst = float(np.max(np.abs(cross_ratio(*images) - cross_ratio(*rows))))
     rng = yield CheckResult("cross_ratio_projective_invariance",
                             abs(base - 3.0) <= 1e-12 and worst <= 1e-9,
                             {"unit_interval_value": base, "max_gap": worst})

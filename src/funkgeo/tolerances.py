@@ -41,7 +41,8 @@ F_CLAMP = 1e-14
 # aligned polytope triples read s3/s1 <= 0.74 eps, ball triples >= 1.15e7 eps.
 EPS_RANK = 64 * 2.0**-52
 
-# Collinearity of points, relative to the segment length.
+# Collinearity of points, relative to the largest distance between them that
+# the test involves (a point's rounding grows with its distance from the others).
 EPS_LINE = 1e-9
 
 # Degenerate-triangle threshold, relative to squared diameter.

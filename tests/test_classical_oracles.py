@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,3 +151,100 @@ def test_cross_ratio_projective_invariance(rng):
         P = random_projective_map(rng, pts)
         img = apply_projective(P, pts)
         assert cross_ratio(*img) == pytest.approx(base, abs=1e-9)
+
+
+# --- far-collinear points ------------------------------------------------------------
+
+def test_division_ratio_accepts_collinear_points_far_along_the_line():
+    # P's rounding grows with |P - A|, so the collinearity bound does too.
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        a, b = rng.uniform(-2.0, 2.0, (2, 2))
+        lam = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(5.0, 8.0)
+        p = lam * b + (1.0 - lam) * a
+        assert division_ratio(a, b, p) == pytest.approx(lam, rel=1e-12)
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+        with pytest.raises(GeometryError, match="P does not lie on the line through A and B"):
+            division_ratio(a, b, p + 1e-6 * np.linalg.norm(p - a) * normal)
+
+
+# --- row forms -----------------------------------------------------------------------
+
+def _row_cases(rng, m=400):
+    """(function, rows) with valid random rows for each oracle, far-collinear ones included."""
+    A, B, C = rng.uniform(-2.0, 2.0, (3, m, 2))
+    lam = rng.uniform(-3.0, 3.0, (m, 1))
+    lam[::4] = rng.choice([-1.0, 1.0], (m // 4, 1)) * 10.0 ** rng.uniform(5.0, 8.0, (m // 4, 1))
+    division = (A, B, lam * B + (1.0 - lam) * A)
+    t = rng.uniform(-2.0, 3.0, (3, m, 1))
+    menelaus = (A, B, C, t[0] * B + (1 - t[0]) * C, t[1] * C + (1 - t[1]) * A,
+                t[2] * A + (1 - t[2]) * B)
+    w = rng.uniform(0.1, 1.0, (3, m, 1))
+    P = (w[0] * A + w[1] * B + w[2] * C) / w.sum(axis=0)
+
+    def foot(v, e1, e2):  # where the line from vertex v through P meets line e1 e2
+        d, e = P - v, e2 - e1
+        s = (e[:, :1] * (e1 - v)[:, 1:] - (e1 - v)[:, :1] * e[:, 1:]) \
+            / (e[:, :1] * d[:, 1:] - d[:, :1] * e[:, 1:])
+        return v + s * d
+
+    ceva = (A, B, C, foot(A, B, C), foot(B, C, A), foot(C, A, B))
+    origin, direction = rng.uniform(-1.0, 1.0, (2, m, 3))
+    s = np.sort(rng.uniform(-2.0, 2.0, (m, 4)), axis=1)
+    s[::4, 3] = 10.0 ** rng.uniform(5.0, 8.0, m // 4)
+    cross = tuple(origin + s[:, k:k + 1] * direction for k in range(4))
+    return [(division_ratio, division), (menelaus_product, menelaus),
+            (ceva_product, ceva), (cross_ratio, cross)]
+
+
+def test_row_oracles_agree_with_their_single_calls_bit_for_bit():
+    for fn, rows in _row_cases(np.random.default_rng(29)):
+        values = fn(*rows)
+        assert isinstance(values, np.ndarray) and values.shape == (len(rows[0]),)
+        singles = [fn(*row) for row in zip(*rows)]
+        assert all(isinstance(v, float) for v in singles)
+        assert [float.hex(v) for v in values] == [float.hex(v) for v in singles]
+
+
+Z, E1, E2 = [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.5, -0.5], [0.0, 0.25], [0.5, 0.0]]
+LINE = [[-1.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]
+
+
+def _with_row(good, bad_rows):
+    """Rows of the points: a valid first row, then the given rows."""
+    return [np.array([g] + [row[k] for row in bad_rows]) for k, g in enumerate(good)]
+
+
+ROW_MESSAGES = [  # (function, rows, the single call's message for the first offending row)
+    (division_ratio, _with_row([Z, E1, [0.5, 0.0]], [[Z, Z, E1]]), "division ratio needs A != B"),
+    (division_ratio, _with_row([Z, E1, [0.5, 0.0]], [[Z, E1, [0.5, 0.5]], [Z, Z, E1]]),
+     "P does not lie on the line through A and B"),
+    (division_ratio, _with_row([Z, E1, [0.5, 0.0]], [[Z, E1, [np.nan, 0.0]]]),
+     "P has a non-finite coordinate"),
+    (division_ratio, [np.array([Z, Z]), np.array([E1, E1]), np.array([E2])],
+     "point arrays must be (m, dim) and congruent"),
+    (menelaus_product, _with_row(TRIANGLE, [[Z, E1, [2.0, 0.0], [1.5, 0.0], [0.5, 0.0],
+                                             [0.25, 0.0]]]), "triangle is degenerate"),
+    (menelaus_product, _with_row(TRIANGLE, [[*TRIANGLE[:3], E2, [0.0, 0.25], [0.5, 0.0]]]),
+     "A' coincides with a forbidden triangle vertex"),
+    (ceva_product, _with_row(TRIANGLE, [[*TRIANGLE[:5], E1], [*TRIANGLE[:3], E2, *TRIANGLE[4:]]]),
+     "C' coincides with a forbidden triangle vertex"),
+    (ceva_product, _with_row(TRIANGLE, [[*TRIANGLE[:3], [1.5, 0.5], *TRIANGLE[4:]]]),
+     "P does not lie on the line through A and B"),
+    (menelaus_product, _with_row(TRIANGLE, [[*TRIANGLE[:5], [np.inf, 0.0]]]),
+     "C' has a non-finite coordinate"),
+    (cross_ratio, _with_row(LINE, [[Z, Z, Z, Z]]), "the four points coincide"),
+    (cross_ratio, _with_row(LINE, [[[-1.0, 0.0], [0.0, 0.1], [0.5, 0.0], [1.0, 0.0]], [Z, Z, Z, Z]]),
+     "the four points are not collinear"),
+    (cross_ratio, _with_row(LINE, [[[-1.0, 0.0], [-1.0, 0.0], [0.5, 0.0], [1.0, 0.0]]]),
+     "cross ratio needs b != x and y != a"),
+]
+
+
+@pytest.mark.parametrize("fn, rows, message", ROW_MESSAGES)
+def test_row_oracles_keep_the_messages_of_their_single_calls(fn, rows, message):
+    with warnings.catch_warnings(), pytest.raises(GeometryError) as err:
+        warnings.simplefilter("error")
+        fn(*rows)
+    assert str(err.value) == message

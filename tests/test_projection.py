@@ -19,7 +19,7 @@ from funkgeo import (
     nearest_on_convex,
     nearest_on_segment,
 )
-from funkgeo import _linprog
+from funkgeo import _linprog, projection
 from funkgeo._linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -29,7 +29,9 @@ from funkgeo._linprog import (
     recession_cone_is_trivial,
     solve_lp,
 )
+from funkgeo.convex_core import as_point
 from funkgeo.projection import forward_ball_reaches
+from funkgeo.suites import random_polygon
 
 LOG2 = math.log(2.0)
 
@@ -167,6 +169,49 @@ def test_segment_foot_is_the_one_grid_minimiser(ball):
 def test_segment_endpoints_must_be_interior(square):
     with pytest.raises(GeometryError):
         nearest_on_segment(square, [0.0, 0.0], ([0.5, 0.0], [2.0, 0.0]))
+
+
+SQUARE = HPolytope.box([-1.0, -1.0], [1.0, 1.0])
+POLYGON = random_polygon(np.random.default_rng(5))
+CORNERS, MIDDLE = POLYGON.vertices, POLYGON.vertices.mean(axis=0)
+FEET = {  # (domain, x, segment, (float.hex of Foot.param, of Foot.distance))
+    "square": (SQUARE, [0.1, 0.2], ([0.6, -0.7], [-0.4, 0.8]),
+               ("0x1.1da46102b20fep-1", "0x1.baeb2e6489cf6p-5")),
+    "ball": (EuclideanBall([0.25, -0.5], 1.25), [0.1, 0.2], ([0.9, -0.9], [-0.6, 0.3]),
+             ("0x1.3e7d068c58760p-1", "0x1.e52e58a40c05dp-3")),
+    "random_polygon": (POLYGON, MIDDLE + 0.5 * (CORNERS[1] - MIDDLE),
+                       (MIDDLE + 0.6 * (CORNERS[0] - MIDDLE), MIDDLE + 0.7 * (CORNERS[3] - MIDDLE)),
+                       ("0x1.2ed0076a98104p-2", "0x1.0eb29064c561bp-2")),
+    "affine_image": (AffineImage(SQUARE, AffineMap([[2.0, 0.5], [0.0, 1.0]], [0.25, -0.5])),
+                     [0.1, -0.3], ([1.5, 0.2], [-1.2, -1.1]),
+                     ("0x1.dc586c63d39fap-2", "0x1.7611c98a52814p-4")),
+    "intersection": (IntersectionDomain([SQUARE, EuclideanBall([0.3, 0.0], 1.1)],
+                                        witness=[0.0, 0.0]),
+                     [0.1, 0.2], ([0.7, -0.5], [-0.5, -0.6]),
+                     ("0x1.608d52bfe35b8p-3", "0x1.d22d9e334a1c6p-1")),
+}
+
+
+@pytest.mark.parametrize("kind", FEET)
+def test_segment_feet_keep_their_bits(kind):
+    # Pinned before the search stopped validating each point it evaluates.
+    domain, x, seg, pinned = FEET[kind]
+    foot = nearest_on_segment(domain, x, seg)
+    assert (float.hex(foot.param), float.hex(foot.distance)) == pinned
+
+
+@pytest.mark.parametrize("kind", FEET)
+def test_segment_search_validates_each_input_once(monkeypatch, kind):
+    # The search evaluates only the unchecked kernel: no public funk call, and
+    # one validation per input point.
+    domain, x, seg, (_, distance) = FEET[kind]
+    funk_calls, validated = [], []
+    monkeypatch.setattr(projection, "funk", lambda *args: funk_calls.append(args) or funk(*args))
+    monkeypatch.setattr(projection, "as_point",
+                        lambda p, dim, name: validated.append(name) or as_point(p, dim, name))
+    foot = nearest_on_segment(domain, x, seg)
+    assert funk_calls == [] and validated == ["x", "segment start", "segment end"]
+    assert float.hex(foot.distance) == distance
 
 
 # --- nearest point on a convex subset --------------------------------------------

@@ -8,7 +8,8 @@ Runs ``run_suite("all")`` for seeds 0-199 with the counts of perfbench's
 ``suite-all`` workload (the default counts divided by 16, from
 ``perfbench/workloads.py::suite_counts``), then for seeds 0-19 at default
 counts.  Prints one line per failing check and exits 1 if any check fails.
-Takes about ten minutes on a 2-vCPU host.
+Takes about a minute on a 2-vCPU host (65 s with Python 3.11 and numpy 2.4),
+so CI runs it with the tier-1 tests.
 """
 
 from __future__ import annotations
