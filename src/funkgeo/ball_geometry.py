@@ -27,7 +27,7 @@ from .convex_core import (
     GeometryError,
     HPolytope,
     IntersectionDomain,
-    as_point,
+    _check_interior,
 )
 
 FORWARD = "forward"
@@ -61,9 +61,7 @@ class MetricBall:
 
 
 def _check_ball_inputs(domain: ConvexDomain, x, rho: float) -> np.ndarray:
-    x = as_point(x, domain.dim, "center")
-    if domain.contains(x) <= 0.0:
-        raise GeometryError("ball center must be interior to the domain")
+    x = _check_interior(domain, x, "center", "ball center must be interior to the domain")
     if not (rho > 0.0 and np.isfinite(rho)):
         raise GeometryError("ball radius must be a positive finite number")
     return x
@@ -179,9 +177,7 @@ def sandwich(polytope: HPolytope, x) -> SandwichConstants:
         raise GeometryError("sandwich constants need the vertex description")
     if not polytope.is_bounded():
         raise GeometryError("sandwich constants need a bounded polytope")
-    x = as_point(x, polytope.dim, "x")
-    if polytope.contains(x) <= 0.0:
-        raise GeometryError("x must be interior to the polytope")
+    x = _check_interior(polytope, x, "x", "x must be interior to the polytope")
     lam = float(np.min((polytope.b - polytope.A @ x) / polytope._row_norms))
     Lam = float(np.max(np.linalg.norm(polytope.vertices - x, axis=1)))
     return SandwichConstants(lambda_x=lam, Lambda_x=Lam)

@@ -13,7 +13,8 @@ Subcommands::
 Points are comma-separated coordinates, e.g. ``0.5,0`` (parentheses are
 tolerated).  A suite's gates are constants of its checks, and each check's
 report detail shows the value it measured; ``--count KEY=N`` sets the size
-of one sample.  Exit codes: 0 all good, 1 an invariant check failed,
+of one sample, and a key that no check of the named suite reads is rejected
+before any check runs.  Exit codes: 0 all good, 1 an invariant check failed,
 2 invalid input.
 """
 
@@ -33,7 +34,7 @@ from .finsler_tangent import finite_difference_check, tangent_norm
 from .geodesy import verify_geodesic
 from .metric_engine import funk, hilbert, max_symmetrized, relative_funk, reverse_funk
 from .projection import nearest_on_convex, nearest_on_segment
-from .suites import SUITES, RunConfig, run_suite
+from .suites import SUITES, RunConfig, count_keys, run_suite
 from .svg_out import domain_outline, render_ball_scene
 
 
@@ -95,7 +96,7 @@ def _cmd_dist(args) -> int:
     # The metric has validated both points; coincident ones cast no ray.
     if np.linalg.norm(y - x) > tolerances.EPS_PT:
         for label, dom, p, q in rays:
-            print(_describe_hit(label, dom.ray_boundary(p, q)))
+            print(_describe_hit(label, dom._hit(p, q, q - p)))
     return 0
 
 
@@ -162,10 +163,11 @@ def _cmd_tangent(args) -> int:
 
 def _cmd_suite(args) -> int:
     cfg = RunConfig(seed=args.seed, counts=_parse_counts(args.count))
-    report = run_suite(args.name, cfg)
-    unknown = [f"--count {key}" for key in cfg.counts if key not in cfg.read]
+    read = count_keys(args.name)
+    unknown = [f"--count {key}" for key in cfg.counts if key not in read]
     if unknown:
         raise KeyError(f"no check of suite {args.name!r} reads {', '.join(unknown)}")
+    report = run_suite(args.name, cfg)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -65,6 +65,16 @@ def as_point(x, dim: int | None = None, name: str = "point") -> Vector:
     return p
 
 
+def _check_interior(domain: ConvexDomain, p, name: str = "point", message: str | None = None,
+                    gate: float = 0.0, error: type = GeometryError) -> Vector:
+    """``as_point`` of p if its margin in the domain exceeds ``gate``; else raises
+    ``error(message)``, by default "<name> is not interior to the domain"."""
+    p = as_point(p, domain.dim, name)
+    if domain._margin(p) <= gate:
+        raise error(message or f"{name} is not interior to the domain")
+    return p
+
+
 def _rowdot(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # Row by row, rounded as the scalar p @ q is (np.einsum adds in another order).
     return np.matmul(P[:, None, :], Q[:, :, None])[:, 0, 0]
@@ -170,14 +180,8 @@ class ConvexDomain:
 
     def ray_boundary(self, x, y) -> Hit:
         """Exit of the ray from interior point x through y (x != y)."""
-        x = as_point(x, self.dim, "ray origin")
-        y = as_point(y, self.dim, "ray target")
-        if self._margin(x) <= 0.0:
-            raise GeometryError("ray origin is not interior to the domain")
-        d = y - x
-        if math.sqrt(d @ d) <= tol.EPS_PT:
-            raise GeometryError("ray origin and target coincide")
-        return self._hit(x, y, d)
+        x = _check_interior(self, x, "ray origin")
+        return self._cast(x, as_point(y, self.dim, "ray target"))
 
     def support_direction(self, a) -> Vector:
         """Outward normal direction at a boundary point a."""
@@ -239,6 +243,13 @@ class ConvexDomain:
             return Hit.escaped(d)
         return Hit.finite(x + t * d, t)
 
+    def _cast(self, x, y) -> Hit:
+        """``ray_boundary`` of an interior point x and a finite point y."""
+        d = y - x
+        if math.sqrt(d @ d) <= tol.EPS_PT:
+            raise GeometryError("ray origin and target coincide")
+        return self._hit(x, y, d)
+
     def _margins(self, X) -> np.ndarray:
         raise NotImplementedError
 
@@ -280,12 +291,9 @@ class HPolytope(ConvexDomain):
             self._validate_vertices(V)
             self.vertices = _readonly(V)
 
-        self._witness = None
-        if witness is not None:
-            w = as_point(witness, self.dim, "witness")
-            if self.contains(w) <= tol.EPS_PT:
-                raise DomainSpecError("witness point is not strictly interior")
-            self._witness = _readonly(w)
+        self._witness = None if witness is None else _readonly(_check_interior(
+            self, witness, "witness", "witness point is not strictly interior",
+            gate=tol.EPS_PT, error=DomainSpecError))
         self._base = None
         self._bounded = None
 
@@ -383,11 +391,9 @@ class HPolytope(ConvexDomain):
                 try:
                     base = chebyshev_center(self.A, self.b)
                 except ValueError as exc:
-                    raise DomainSpecError(
-                        f"cannot pick an interior base point: {exc}") from exc
-            if self.contains(base) <= 0.0:
-                raise DomainSpecError("computed base point is not interior")
-            self._base = _readonly(base)
+                    raise DomainSpecError(f"cannot pick an interior base point: {exc}") from exc
+            self._base = _readonly(_check_interior(
+                self, base, message="computed base point is not interior", error=DomainSpecError))
         return self._base
 
     def is_bounded(self) -> bool:
@@ -399,7 +405,9 @@ class HPolytope(ConvexDomain):
 
     def active_face(self, a) -> frozenset[int]:
         """Indices of constraints active at boundary point a (nonempty)."""
-        a = as_point(a, self.dim)
+        return self._active_face(as_point(a, self.dim))
+
+    def _active_face(self, a) -> frozenset[int]:
         dist = (self.b - self.A @ a) / self._row_norms
         if abs(np.min(dist)) > tol.EPS_BD:
             raise GeometryError(
@@ -657,12 +665,9 @@ class IntersectionDomain(ConvexDomain):
             raise DomainSpecError("intersection parts have mixed dimensions")
         self.parts = tuple(parts)
         self.dim = parts[0].dim
-        self._base = None
-        if witness is not None:
-            w = as_point(witness, self.dim, "witness")
-            if min(p.contains(w) for p in parts) <= 0.0:
-                raise DomainSpecError("witness is not interior to every part")
-            self._base = _readonly(w)
+        self._base = None if witness is None else _readonly(_check_interior(
+            self, witness, "witness", "witness is not interior to every part",
+            error=DomainSpecError))
 
     contains, ray_boundary = ConvexDomain.contains, ConvexDomain.ray_boundary
 
@@ -684,7 +689,7 @@ class IntersectionDomain(ConvexDomain):
 
     def _touching(self, a) -> list[ConvexDomain]:
         """The parts whose boundary passes through a, in part order."""
-        parts = [p for p in self.parts if abs(p.contains(a)) <= p._boundary_gate()]
+        parts = [p for p in self.parts if abs(p._margin(a)) <= p._boundary_gate()]
         if not parts:
             raise GeometryError("point is not on the intersection boundary")
         return parts
@@ -706,11 +711,9 @@ class IntersectionDomain(ConvexDomain):
     def base_point(self) -> Vector:
         if self._base is None:
             guess = np.mean([p.base_point() for p in self.parts], axis=0)
-            if self.contains(guess) <= 0.0:
-                raise DomainSpecError(
-                    "cannot infer an interior point of the intersection; "
-                    "supply a witness")
-            self._base = _readonly(guess)
+            self._base = _readonly(_check_interior(
+                self, guess, message="cannot infer an interior point of the intersection; "
+                "supply a witness", error=DomainSpecError))
         return self._base
 
     def is_bounded(self) -> bool:

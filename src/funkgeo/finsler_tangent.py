@@ -15,16 +15,18 @@ import math
 import numpy as np
 
 from . import tolerances as tol
-from .convex_core import ConvexDomain, GeometryError, HPolytope, as_point
-from .metric_engine import funk
+from .convex_core import ConvexDomain, GeometryError, HPolytope, _check_interior, as_point
+from .metric_engine import _funk
 
 
 def tangent_norm(domain: ConvexDomain, p, v) -> float:
     """Gauge of the translated domain at v (0 for the zero vector)."""
-    p = as_point(p, domain.dim, "base point")
-    if domain._margin(p) <= 0.0:
-        raise GeometryError("base point must be interior to the domain")
-    v = as_point(v, domain.dim, "vector")
+    p = _check_interior(domain, p, "base point", "base point must be interior to the domain")
+    return _gauge(domain, p, as_point(v, domain.dim, "vector"))
+
+
+def _gauge(domain: ConvexDomain, p, v) -> float:
+    """Tangent norm at a validated interior point p of a validated vector v."""
     if math.sqrt(v @ v) <= tol.EPS_PT:
         return 0.0
     y = p + v
@@ -40,19 +42,19 @@ def finite_difference_check(domain: ConvexDomain, p, x, y, t_list
     point must stay interior.  t below about 1e-5 is dominated by
     cancellation noise and is better avoided.
     """
-    p = as_point(p, domain.dim, "base point")
+    p = _check_interior(domain, p, "base point", "base point must be interior to the domain")
     x = as_point(x, domain.dim, "x")
     y = as_point(y, domain.dim, "y")
-    limit = tangent_norm(domain, p, y - x)
+    limit = _gauge(domain, p, y - x)
     rows = []
     for t in t_list:
         t = float(t)
         if t <= 0.0:
             raise GeometryError("difference-quotient steps must be positive")
         a, b = p + t * x, p + t * y
-        if domain.contains(a) <= 0.0 or domain.contains(b) <= 0.0:
+        if domain._margin(a) <= 0.0 or domain._margin(b) <= 0.0:
             raise GeometryError(f"sample escapes the domain at t={t:g}")
-        quotient = funk(domain, a, b) / t
+        quotient = _funk(domain, a, b) / t
         rows.append((t, quotient, abs(quotient - limit)))
     return rows
 
@@ -82,9 +84,7 @@ def polytope_support_form(polytope: HPolytope, p, v) -> float:
     constraint forms.  Kept as an independent identity for testing the
     geometric gauge.
     """
-    p = as_point(p, polytope.dim, "base point")
-    if polytope.contains(p) <= 0.0:
-        raise GeometryError("base point must be interior to the polytope")
+    p = _check_interior(polytope, p, "base point", "base point must be interior to the polytope")
     v = as_point(v, polytope.dim, "vector")
     slack = polytope.b - polytope.A @ p
     return max(0.0, float(np.max((polytope.A @ v) / slack)))

@@ -31,13 +31,14 @@ from .convex_core import (
     ConvexDomain,
     GeometryError,
     HPolytope,
+    _check_interior,
     _row_lengths,
     _rowdot,
     as_point,
     to_projective,
 )
 from . import metric_engine
-from .metric_engine import _batch_from_parameters, _check_interior, _funk, _hilbert
+from .metric_engine import _batch_from_parameters, _funk, _hilbert
 
 
 @dataclass(frozen=True)
@@ -51,16 +52,13 @@ class TriangleReport:
 
 def triangle_report(domain: ConvexDomain, x, y, z) -> TriangleReport:
     """Defect F(x,y) + F(y,z) - F(x,z) and alignment of the three hits."""
-    x = as_point(x, domain.dim, "x")
-    y = as_point(y, domain.dim, "y")
-    z = as_point(z, domain.dim, "z")
+    x = _check_interior(domain, x, "x")
+    y = _check_interior(domain, y, "y")
+    z = _check_interior(domain, z, "z")
     for p, q, name in ((x, y, "x, y"), (y, z, "y, z"), (x, z, "x, z")):
         d = q - p
         if math.sqrt(d @ d) <= tol.EPS_PT:
             raise GeometryError(f"triangle report needs distinct points ({name} coincide)")
-    for p, name in ((x, "x"), (y, "y"), (z, "z")):
-        if domain._margin(p) <= 0.0:
-            raise GeometryError(f"{name} is not interior to the domain")
     hits = [domain._hit(p, q, q - p) for p, q in ((x, y), (y, z), (x, z))]
     # Through the module, so the one exit-to-distance conversion is used.
     fxy, fyz, fxz = (metric_engine._from_parameter(h.t) for h in hits)
@@ -133,22 +131,19 @@ def cone_member(polytope: HPolytope, cone: FaceCone, v) -> bool:
     exits qualifies when its direction is a recession direction of the
     face.
     """
-    if max(cone.face) >= polytope.A.shape[0]:
+    if not all(0 <= j < polytope.A.shape[0] for j in cone.face):
         raise GeometryError("face constraint index out of range")
     v = as_point(v, polytope.dim, "direction")
     if np.linalg.norm(v) <= tol.EPS_PT:
         return True
-    base = as_point(cone.base, polytope.dim, "cone base")
-    if polytope.contains(base) <= 0.0:
-        raise GeometryError("cone base must be interior")
-    hit = polytope.ray_boundary(base, base + v)
+    base = _check_interior(polytope, cone.base, "cone base", "cone base must be interior")
+    hit = polytope._cast(base, base + v)
     if hit.at_infinity:
         d = hit.direction / np.linalg.norm(hit.direction)
         idx = sorted(cone.face)
-        on_face = np.all(np.abs(polytope.A[idx] @ d)
-                         <= tol.EPS_FACE * polytope._row_norms[idx])
+        on_face = np.all(np.abs(polytope.A[idx] @ d) <= tol.EPS_FACE * polytope._row_norms[idx])
         return bool(on_face and polytope.recession_contains(d))
-    return cone.face <= polytope.active_face(hit.point)
+    return cone.face <= polytope._active_face(hit.point)
 
 
 def _verify_polyline(metric, domain: ConvexDomain, polyline) -> tuple[bool, float]:
@@ -184,18 +179,21 @@ def polyline_face_witness(polytope: HPolytope, polyline,
     reverse chords certify the reverse direction, as the Hilbert test
     needs).  Rays that never exit yield an empty witness.
     """
-    pts = [as_point(p, polytope.dim, f"polyline[{i}]") for i, p in enumerate(polyline)]
+    polyline = list(polyline)
+    end = 0 if reverse else len(polyline) - 1  # the one point no chord leaves from
+    origin = "ray origin is not interior to the domain"
+    pts = [as_point(p, polytope.dim, f"polyline[{i}]") if i == end
+           else _check_interior(polytope, p, f"polyline[{i}]", origin)
+           for i, p in enumerate(polyline)]
     if len(pts) < 2:
         raise GeometryError("a polyline needs at least two points")
-    common: frozenset[int] | None = None
-    for i in range(len(pts) - 1):
-        p, q = (pts[i + 1], pts[i]) if reverse else (pts[i], pts[i + 1])
-        hit = polytope.ray_boundary(p, q)
+    faces = []
+    for p, q in zip(pts[1:], pts) if reverse else zip(pts, pts[1:]):
+        hit = polytope._cast(p, q)
         if hit.at_infinity:
             return frozenset()
-        active = polytope.active_face(hit.point)
-        common = active if common is None else (common & active)
-    return common if common is not None else frozenset()
+        faces.append(polytope._active_face(hit.point))
+    return frozenset.intersection(*faces)
 
 
 def unique_geodesic_pair(domain: ConvexDomain, x, z) -> bool:
@@ -205,14 +203,12 @@ def unique_geodesic_pair(domain: ConvexDomain, x, z) -> bool:
     point: always in a ball, and at a vertex of a polytope.  Undefined
     (raises) when the hit is at infinity.
     """
-    x = as_point(x, domain.dim, "x")
-    z = as_point(z, domain.dim, "z")
-    if np.linalg.norm(z - x) <= tol.EPS_PT:
+    x = _check_interior(domain, x, "x", "both points must be interior")
+    z = _check_interior(domain, z, "z", "both points must be interior")
+    d = z - x
+    if math.sqrt(d @ d) <= tol.EPS_PT:
         raise GeometryError("unique-geodesy needs two distinct points")
-    if domain.contains(x) <= 0.0 or domain.contains(z) <= 0.0:
-        raise GeometryError("both points must be interior")
-    hit = domain.ray_boundary(x, z)
+    hit = domain._hit(x, z, d)
     if hit.at_infinity:
-        raise GeometryError(
-            "unique-geodesy predicate is undefined for hits at infinity")
+        raise GeometryError("unique-geodesy predicate is undefined for hits at infinity")
     return domain.is_exposed_at(hit.point)

@@ -27,7 +27,8 @@ import weakref
 import numpy as np
 
 from . import tolerances as tol
-from .convex_core import ConvexDomain, GeometryError, HPolytope, _row_lengths, _rowdot, as_point
+from .convex_core import (ConvexDomain, GeometryError, HPolytope, _check_interior, _row_lengths,
+                          _rowdot, as_point)
 
 
 def _from_parameter(t: float) -> float:
@@ -39,13 +40,6 @@ def _from_parameter(t: float) -> float:
         raise GeometryError("target point is numerically on the boundary")
     value = math.log1p(1.0 / (t - 1.0))
     return 0.0 if value < tol.F_CLAMP else value
-
-
-def _check_interior(domain: ConvexDomain, p, name: str):
-    p = as_point(p, domain.dim, name)
-    if domain._margin(p) <= 0.0:
-        raise GeometryError(f"{name} is not interior to the domain")
-    return p
 
 
 def _funk(domain: ConvexDomain, x, y) -> float:

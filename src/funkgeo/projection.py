@@ -29,9 +29,10 @@ from .convex_core import (
     GeometryError,
     HPolytope,
     LinearForm,
+    _check_interior,
     as_point,
 )
-from .metric_engine import _funk, funk
+from .metric_engine import _funk
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -84,13 +85,10 @@ def nearest_on_segment(domain: ConvexDomain, x, seg) -> Foot:
     is quasi-convex; flat minima (ties) return the plateau midpoint, so
     the answer is deterministic.
     """
-    x = as_point(x, domain.dim, "x")
-    if domain.contains(x) <= 0.0:
-        raise GeometryError("x must be interior to the domain")
-    p = as_point(seg[0], domain.dim, "segment start")
-    q = as_point(seg[1], domain.dim, "segment end")
-    if domain.contains(p) <= 0.0 or domain.contains(q) <= 0.0:
-        raise GeometryError("segment endpoints must be interior to the domain")
+    x = _check_interior(domain, x, "x", "x must be interior to the domain")
+    endpoints = "segment endpoints must be interior to the domain"
+    p = _check_interior(domain, seg[0], "segment start", endpoints)
+    q = _check_interior(domain, seg[1], "segment end", endpoints)
 
     # Points of the segment are interior by convexity, so the search casts
     # without validating them again; one pushed out by rounding still raises.
@@ -137,12 +135,10 @@ def nearest_on_convex(domain: HPolytope, x, a_set: HPolytope) -> Foot:
     """
     if not isinstance(domain, HPolytope) or not isinstance(a_set, HPolytope):
         raise GeometryError("nearest_on_convex works on polytopal domain and target")
-    x = as_point(x, domain.dim, "x")
-    if domain.contains(x) <= 0.0:
-        raise GeometryError("x must be interior to the domain")
+    x = _check_interior(domain, x, "x", "x must be interior to the domain")
     _validate_subset(domain, a_set)
 
-    if a_set.contains(x) >= 0.0:
+    if a_set._margin(x) >= 0.0:
         return Foot(point=x, distance=0.0)
 
     n, Ax = domain.dim, domain.A @ x
@@ -153,8 +149,8 @@ def nearest_on_convex(domain: HPolytope, x, a_set: HPolytope) -> Foot:
                             np.concatenate([Ax, a_set.b, [0.0, 1.0]]))
     if status != OPTIMAL:  # a target inside the domain is reached at s < 1
         raise GeometryError("target set is empty")
-    point = z[:n]
-    distance = funk(domain, x, point)
+    point = z[:n]  # in A, so interior to the domain
+    distance = _funk(domain, x, point)
     certificate = None if distance == 0.0 else _separating_form(domain, x, point, a_set)
     return Foot(point=point, distance=distance, certificate=certificate)
 
@@ -177,17 +173,19 @@ def _separating_form(domain: ConvexDomain, x: np.ndarray, y: np.ndarray,
                      a_set: HPolytope) -> LinearForm | None:
     """A supporting functional at the hit of the ray x->y whose level set
     through y separates x from A, shifted to vanish at y; None if none does.
+    x and y are interior points at a positive distance F(x, y).
 
     It is h = C^T lam, lam >= 0, over the support normals C at the hit.  By
     LP duality min_A h = max {-mu.b_T : mu >= 0, A_T^T mu = -h}; one LP
     minimizes the gap h.y - min_A h, h of unit slope along the ray, with
     the equality met within EPS_PARA (feet found to rounding need that).
     """
-    a = domain.ray_boundary(x, y).point
+    d = y - x
+    a = domain._hit(x, y, d).point
     C = np.array(domain.support_normals(a))
     k, m, n = C.shape[0], a_set.A.shape[0], domain.dim
     normal = np.hstack([C.T, a_set.A.T])  # h + A_T^T mu
-    slope = np.concatenate([C @ (y - x) / np.linalg.norm(y - x), np.zeros(m)])
+    slope = np.concatenate([C @ d / np.linalg.norm(d), np.zeros(m)])
     lhs = np.vstack([normal, -normal, slope, -slope, -np.eye(k + m)])
     rhs = np.concatenate([np.full(2 * n, tol.EPS_PARA), [1.0, -1.0], np.zeros(k + m)])
     status, z, _ = solve_lp(-np.concatenate([C @ y, a_set.b]), lhs, rhs)
@@ -215,11 +213,11 @@ def foot_certificate(domain: ConvexDomain, x, y, a_set: HPolytope) -> bool:
     """
     if not isinstance(a_set, HPolytope):
         raise GeometryError("foot_certificate needs a polytopal target")
-    x = as_point(x, domain.dim, "x")
-    y = as_point(y, domain.dim, "y")
-    if a_set.contains(y) < -tol.EPS_GEOM:
+    x = _check_interior(domain, x, "x")
+    y = _check_interior(domain, y, "y")
+    if a_set.contains(y) < -tol.EPS_GEOM:  # also checks the target's dimension
         raise GeometryError("y must belong to the target set")
-    return funk(domain, x, y) == 0.0 or _separating_form(domain, x, y, a_set) is not None
+    return _funk(domain, x, y) == 0.0 or _separating_form(domain, x, y, a_set) is not None
 
 
 def is_perpendicular(domain: ConvexDomain, ray_from, boundary_hit,

@@ -4,13 +4,13 @@ Each suite exercises one group of invariants at desk scale.  It is a
 generator that yields its checks one by one, and :func:`run_suite` wraps
 them in a deterministic report (seed, count overrides, one pass/fail entry
 per check, its detail the measured value).  Gates are constants written at
-each check; only sample counts (``cfg.count``) are set per run.  Check k of
-a suite draws from its own random stream,
-``np.random.default_rng([seed, salt, k])`` with the suite's salt from
-:data:`SUITES`, so a change to one check's draws moves only its own report
-entry, and those of the checks that reuse its samples.  Checks are always
-executed and reported in definition order, so reports are byte-stable for
-a fixed seed apart from the single run-metadata line.
+each check; only sample counts (``cfg.count``) are set per run, and a suite
+reads all of them before its first check.  Check k of a suite draws from
+its own random stream, ``np.random.default_rng([seed, salt, k])`` with the
+suite's salt from :data:`SALTED`, so a change to one check's draws moves
+only its own report entry, and those of the checks that reuse its samples.
+Checks are always executed and reported in definition order, so reports
+are byte-stable for a fixed seed apart from the single run-metadata line.
 """
 
 from __future__ import annotations
@@ -137,24 +137,22 @@ def random_polygon(rng: np.random.Generator, k: int = 6) -> HPolytope:
 
 def sample_interior(domain, rng: np.random.Generator, m: int,
                     bound: float = 1.7, min_margin: float = 1e-6) -> np.ndarray:
-    """m interior points by rejection from a bounding box."""
-    out = np.empty((0, domain.dim))
-    while len(out) < m:
-        block = rng.uniform(-bound, bound, size=(4 * m, domain.dim))
-        out = np.vstack([out, block[domain._margins(block) > min_margin][:m - len(out)]])
-    return out
+    """m interior points by rejection from a bounding box, drawn 4*m at a time."""
+    return _accepted(m, lambda k: rng.uniform(-bound, bound, size=(4 * m, domain.dim)),
+                     lambda block: domain._margins(block) > min_margin)[0]
 
 
 def _accepted(n: int, draw, accept) -> tuple[np.ndarray, int]:
-    """n rows that ``accept`` passes, drawn by ``draw(k)`` in blocks of the k rows
-    still missing, and the number of rows it rejected on the way."""
+    """The first n rows that ``accept`` passes, drawn by ``draw(k)`` in blocks while
+    k rows are still missing, and the number of rows it rejected on the way.  It
+    draws one block at least, so that n = 0 gives no rows of the drawn shape."""
     blocks, have, rejected = [], 0, 0
-    while have < n:
+    while not blocks or have < n:
         block = draw(n - have)
         ok = accept(block)
         blocks.append(block[ok])
         have, rejected = have + int(ok.sum()), rejected + int((~ok).sum())
-    return np.concatenate(blocks), rejected
+    return np.concatenate(blocks)[:n], rejected
 
 
 def random_affine_map(rng: np.random.Generator, dim: int) -> AffineMap:
@@ -206,6 +204,11 @@ def _well_formed(S: np.ndarray) -> np.ndarray:
 
 
 def suite_convex_core(cfg: RunConfig) -> Checks:
+    n_rays = cfg.count("convex_core.rays", 2000)
+    n_monotone = cfg.count("convex_core.monotone", 300)
+    n_equivariance = cfg.count("convex_core.equivariance", 300)
+    n_support = cfg.count("convex_core.support", 10_000)
+    n_intersection = cfg.count("convex_core.intersection", 400)
     rng = yield
     square = unit_square()
     ball = unit_ball()
@@ -214,10 +217,9 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
                                witness=[0.0, 0.0])
     domains = [square, ball, rotated, inter]
 
-    n = cfg.count("convex_core.rays", 2000)
     worst = 0.0
     for domain in domains:
-        pts = sample_interior(domain, rng, n // len(domains), bound=2.0)
+        pts = sample_interior(domain, rng, n_rays // len(domains), bound=2.0)
         for x in pts:
             y = x + 0.3 * rng.standard_normal(domain.dim)
             if domain.contains(y) <= 1e-6 or np.linalg.norm(y - x) < 1e-6:
@@ -229,10 +231,9 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
     rng = yield CheckResult("ray_cast_boundary_consistency", worst <= gate,
                             {"max_abs_margin": worst, "tolerance": gate})
 
-    trials = cfg.count("convex_core.monotone", 300)
     ok = True
     worst_jump = 0.0
-    for _ in range(trials):
+    for _ in range(n_monotone):
         dim = int(rng.integers(2, 5))
         poly = random_polytope(rng, dim)
         x = sample_interior(poly, rng, 1, bound=1.6)[0]
@@ -251,11 +252,10 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
             worst_jump = max(worst_jump, jump)
             ok = ok and (jump <= 1e-12)
     rng = yield CheckResult("hit_parameter_monotone_in_slack", ok,
-                            {"max_increase": worst_jump, "trials": trials})
+                            {"max_increase": worst_jump, "trials": n_monotone})
 
-    trials = cfg.count("convex_core.equivariance", 300)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(n_equivariance):
         amap = random_affine_map(rng, 2)
         image = AffineImage(square, amap)
         x = sample_interior(square, rng, 1, bound=1.0)[0]
@@ -273,7 +273,6 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
     rng = yield CheckResult("affine_equivariance_of_ray_cast", worst <= gate,
                             {"max_point_gap": worst, "tolerance": gate})
 
-    n = cfg.count("convex_core.support", 10_000)
     worst = -np.inf
     for domain in domains:
         boundary = []
@@ -285,18 +284,17 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
             hit = domain.ray_boundary(x, y)
             if not hit.at_infinity:
                 boundary.append(hit.point)
-        samples = sample_interior(domain, rng, n // len(domains), bound=2.0)
+        samples = sample_interior(domain, rng, n_support // len(domains), bound=2.0)
         for a in boundary[:20]:
             h = supporting_functional(domain, a)
             worst = max(worst, float(np.max(samples @ h.coeffs + h.offset)))
     rng = yield CheckResult("supporting_functional_below_one", worst < 1.0 + tol.EPS_BD,
                             {"max_value_on_interior": worst})
 
-    trials = cfg.count("convex_core.intersection", 400)
     worst = 0.0
     parts = [square, EuclideanBall([0.3, 0.0], 1.1)]
     both = IntersectionDomain(parts, witness=[0.0, 0.0])
-    pts = sample_interior(both, rng, trials, bound=1.0)
+    pts = sample_interior(both, rng, n_intersection, bound=1.0)
     for x, y in zip(pts[::2], pts[1::2]):
         if np.linalg.norm(y - x) < 1e-6:
             continue
@@ -309,8 +307,8 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
 
 
 def suite_oracle_closedform(cfg: RunConfig) -> Checks:
-    rng = yield
     per_dim = cfg.count("oracle.pairs_per_dim", 2500)
+    rng = yield
     gate = 1e-9
 
     worst = 0.0
@@ -337,8 +335,10 @@ def suite_oracle_closedform(cfg: RunConfig) -> Checks:
 
 
 def suite_axioms(cfg: RunConfig) -> Checks:
-    rng = yield
     total = cfg.count("axioms.triples", 100_000)
+    n_proj = cfg.count("axioms.projectivity", 10_000)
+    n_sep = cfg.count("axioms.separation", 5000)
+    rng = yield
     domains = [(unit_square(), 1.0), (random_polytope(rng, 3), 1.6),
                (unit_ball(), 1.0)]
     share = total // len(domains)
@@ -364,7 +364,6 @@ def suite_axioms(cfg: RunConfig) -> Checks:
                             {"max_violation": max_violation, "tolerance": gate,
                              "triples": total})
 
-    n_proj = cfg.count("axioms.projectivity", 10_000)
     worst = 0.0
     for domain, bound in domains:
         X = sample_interior(domain, rng, n_proj // 3, bound=bound)
@@ -379,7 +378,6 @@ def suite_axioms(cfg: RunConfig) -> Checks:
                             {"max_gap": worst, "tolerance": gate,
                              "triples": n_proj})
 
-    n_sep = cfg.count("axioms.separation", 5000)
     min_f = np.inf
     for domain, bound in [(unit_square(), 1.0), (unit_ball(), 1.0)]:
         X = sample_interior(domain, rng, n_sep // 2, bound=bound)
@@ -398,8 +396,8 @@ def suite_axioms(cfg: RunConfig) -> Checks:
 
 
 def suite_monotonicity(cfg: RunConfig) -> Checks:
-    rng = yield
     pairs = cfg.count("monotonicity.pairs", 4000)
+    rng = yield
 
     worst = -np.inf
     for dim in (2, 3):
@@ -440,10 +438,12 @@ def suite_monotonicity(cfg: RunConfig) -> Checks:
 
 
 def suite_invariance(cfg: RunConfig) -> Checks:
-    rng = yield
-    square = unit_square()
     maps = cfg.count("invariance.affine_maps", 1000)
     pairs_per_map = cfg.count("invariance.pairs_per_map", 8)
+    proj_maps = cfg.count("invariance.projective_maps", 1000)
+    n_orthant = cfg.count("invariance.orthant_pairs", 10_000)
+    rng = yield
+    square = unit_square()
     gate = 1e-9
 
     worst = 0.0
@@ -457,7 +457,6 @@ def suite_invariance(cfg: RunConfig) -> Checks:
     rng = yield CheckResult("funk_affine_invariance", worst <= gate,
                             {"max_gap": worst, "maps": maps, "tolerance": gate})
 
-    proj_maps = cfg.count("invariance.projective_maps", 1000)
     gate_h = 1e-9
     corners = square.vertices
     worst = 0.0
@@ -502,25 +501,25 @@ def suite_invariance(cfg: RunConfig) -> Checks:
     rng = yield CheckResult("reverse_funk_diameter_bound", worst <= gate_rb,
                             {"max_excess": worst, "tolerance": gate_rb})
 
-    n = cfg.count("invariance.orthant_pairs", 10_000)
     worst = 0.0
     for dim in (2, 4):
         orthant = HPolytope(-np.eye(dim), np.zeros(dim), witness=np.ones(dim))
-        X = np.exp(rng.uniform(-2, 2, size=(n // 2, dim)))
-        Y = np.exp(rng.uniform(-2, 2, size=(n // 2, dim)))
+        X = np.exp(rng.uniform(-2, 2, size=(n_orthant // 2, dim)))
+        Y = np.exp(rng.uniform(-2, 2, size=(n_orthant // 2, dim)))
         direct = funk_batch(orthant, X, Y)
         mapped = minkowski_max_distance(np.log(X), np.log(Y))
         worst = max(worst, float(np.max(np.abs(direct - mapped))))
     rng = yield CheckResult("orthant_log_isometry", worst <= 1e-12,
-                            {"max_gap": worst, "pairs": n})
+                            {"max_gap": worst, "pairs": n_orthant})
 
 
 def suite_completeness(cfg: RunConfig) -> Checks:
+    horizon = cfg.count("completeness.horizon", 10_000)
+    configs = cfg.count("completeness.ball_configs", 50)
     rng = yield
     square = unit_square()
     b = np.array([-1.0, 0.0])
     a = np.array([1.0, 0.0])
-    horizon = cfg.count("completeness.horizon", 10_000)
 
     def chord(k: int) -> np.ndarray:
         return b + (1.0 / k) * (a - b)
@@ -544,7 +543,6 @@ def suite_completeness(cfg: RunConfig) -> Checks:
         {"tail_sup_at_k1000": sups[1000], "tolerance": gate,
          "sups": {str(k): v for k, v in sups.items()}, "horizon": horizon})
 
-    configs = cfg.count("completeness.ball_configs", 50)
     ok = True
     worst_margin = np.inf
     for poly in (square, random_polygon(rng)):
@@ -563,8 +561,8 @@ def suite_completeness(cfg: RunConfig) -> Checks:
 
 
 def suite_ratio(cfg: RunConfig) -> Checks:
-    rng = yield
     n = cfg.count("ratio.configs", 10_000)
+    rng = yield
     gate = 1e-10
 
     worst_rt = 0.0
@@ -574,7 +572,7 @@ def suite_ratio(cfg: RunConfig) -> Checks:
                                          (unit_ball(), 1.0)]):
         pairs, _ = _accepted(
             len(range(i, n, 3)),
-            lambda k: sample_interior(domain, rng, 2 * k, bound=bound).reshape(k, 2, -1),
+            lambda k: sample_interior(domain, rng, 2 * k, bound=bound).reshape(k, 2, domain.dim),
             lambda B: np.linalg.norm(B[:, 1] - B[:, 0], axis=1) >= 1e-4)
         X, Y = pairs[:, 0], pairs[:, 1]
         t = rng.uniform(0.0, 0.95 * np.minimum(domain._exits(X, Y), 10.0))
@@ -601,11 +599,11 @@ def suite_ratio(cfg: RunConfig) -> Checks:
 
 
 def suite_balls(cfg: RunConfig) -> Checks:
+    samples = cfg.count("balls.sphere_samples", 1000)
     rng = yield
     square = unit_square()
     ball = unit_ball()
     gate = 1e-8
-    samples = cfg.count("balls.sphere_samples", 1000)
 
     worst = 0.0
     domains = [square, ball, random_polygon(rng),
@@ -680,8 +678,8 @@ def suite_balls(cfg: RunConfig) -> Checks:
 
 
 def suite_sandwich(cfg: RunConfig) -> Checks:
-    rng = yield
     configs = cfg.count("sandwich.configs", 100)
+    rng = yield
     polys = [unit_square(), random_polygon(rng),
              HPolytope.box([-0.8, -1.1, -0.9], [1.2, 0.9, 1.0])]
 
@@ -730,11 +728,13 @@ def _edge_aligned_triples(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def suite_triangle(cfg: RunConfig) -> Checks:
+    n_edge = cfg.count("triangle.edge_triples", 1000)
+    n_ball = cfg.count("triangle.ball_triples", 10_000)
+    n_pert = cfg.count("triangle.perturbed", 300)
     rng = yield
     square = unit_square()
     ball = unit_ball()
 
-    n_edge = cfg.count("triangle.edge_triples", 1000)
     defect, aligned = triangle_batch(square, *_edge_aligned_triples(rng, n_edge).swapaxes(0, 1))
     worst_defect = float(np.max(np.abs(defect)))
     rng = yield CheckResult("square_edge_triples_reach_equality",
@@ -745,8 +745,6 @@ def suite_triangle(cfg: RunConfig) -> Checks:
     # triple cluster on a short boundary arc, whose deviation from a line is
     # quadratic in the thinness, so the rank flag would be exercised inside
     # its own tolerance band rather than on genuinely bent triples.
-    n_ball = cfg.count("triangle.ball_triples", 10_000)
-
     def well_apart(T):
         leg, chord = T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
         sides = np.linalg.norm(np.stack([leg, chord, T[:, 2] - T[:, 1]]), axis=2)
@@ -767,7 +765,6 @@ def suite_triangle(cfg: RunConfig) -> Checks:
 
     # In a strictly convex domain only collinear triples reach equality, so
     # nudging the middle point off the chord must produce a visible defect.
-    n_pert = cfg.count("triangle.perturbed", 300)
     X, Z = sample_interior(ball, rng, 2 * n_pert, bound=1.0, min_margin=0.25).reshape(2, -1, 2)
     far = np.linalg.norm(Z - X, axis=1) >= 0.3
     X, Z, s = X[far], Z[far], rng.uniform(0.3, 0.7, n_pert)[far, None]
@@ -779,12 +776,14 @@ def suite_triangle(cfg: RunConfig) -> Checks:
 
 
 def suite_geodesic(cfg: RunConfig) -> Checks:
+    n = cfg.count("geodesic.square_polylines", 200)
+    n_ball = cfg.count("geodesic.ball_polylines", 1000)
+    n_pairs = cfg.count("geodesic.unique_pairs", 300)
     rng = yield
     square = unit_square()
     ball = unit_ball()
     right_edge = next(iter(square.active_face(np.array([1.0, 0.0]))))
 
-    n = cfg.count("geodesic.square_polylines", 200)
     all_pass = True
     cone_ok = True
     for x, y, z in _edge_aligned_triples(rng, n):
@@ -801,7 +800,6 @@ def suite_geodesic(cfg: RunConfig) -> Checks:
                             all_pass, {"polylines": n})
     rng = yield CheckResult("geodesics_admit_face_cone_witness", cone_ok, {})
 
-    n_ball = cfg.count("geodesic.ball_polylines", 1000)
     bent_fail = True
     done = 0
     while done < n_ball:
@@ -853,7 +851,6 @@ def suite_geodesic(cfg: RunConfig) -> Checks:
         and fb.realized.contains(pz) > 0.0 and fb.realized.contains(py) < 0.0,
         {"radius": rho_mid})
 
-    n_pairs = cfg.count("geodesic.unique_pairs", 300)
     ball_unique = all(
         unique_geodesic_pair(ball, p, q)
         for p, q in zip(sample_interior(ball, rng, n_pairs, bound=1.0),
@@ -869,6 +866,8 @@ def suite_geodesic(cfg: RunConfig) -> Checks:
 
 
 def suite_projection(cfg: RunConfig) -> Checks:
+    configs = cfg.count("projection.configs", 4)
+    n_conv = cfg.count("projection.convex_targets", 25)
     rng = yield
     square = unit_square()
     ball = unit_ball()
@@ -876,7 +875,6 @@ def suite_projection(cfg: RunConfig) -> Checks:
     # The foot is optimal against a dense grid of F along the segment, and every
     # grid point within 1e-9 of its distance or of the grid minimum lies within
     # one step of it: the ball has one minimiser.
-    configs = cfg.count("projection.configs", 4)
     grid = np.linspace(0.0, 1.0, 2001)
     worst_excess, worst_offset = 0.0, 0.0
     for _ in range(configs):
@@ -921,7 +919,6 @@ def suite_projection(cfg: RunConfig) -> Checks:
                             {"distance": half.distance,
                              "foot": half.point.tolist()})
 
-    n_conv = cfg.count("projection.convex_targets", 25)
     all_cert = True
     non_near_false = True
     for _ in range(n_conv):
@@ -989,6 +986,9 @@ def suite_projection(cfg: RunConfig) -> Checks:
 
 
 def suite_tangent(cfg: RunConfig) -> Checks:
+    order_configs = cfg.count("tangent.order_configs", 10)
+    n = cfg.count("tangent.identity_samples", 10_000)
+    algebra = cfg.count("tangent.algebra", 500)
     rng = yield
     square = unit_square()
     ball = unit_ball()
@@ -997,7 +997,7 @@ def suite_tangent(cfg: RunConfig) -> Checks:
     grids = [10.0 ** -np.arange(1, 6)]
     min_order = np.inf
     for domain, bound in ((ball, 1.0), (square, 1.0), (poly, 1.6)):
-        for _ in range(cfg.count("tangent.order_configs", 10)):
+        for _ in range(order_configs):
             p = sample_interior(domain, rng, 1, bound=bound, min_margin=0.2)[0]
             x = 0.3 * rng.standard_normal(domain.dim)
             y = 0.3 * rng.standard_normal(domain.dim)
@@ -1009,8 +1009,6 @@ def suite_tangent(cfg: RunConfig) -> Checks:
     gate = 0.9
     rng = yield CheckResult("difference_quotient_first_order", min_order >= gate,
                             {"min_order": min_order, "tolerance": gate})
-
-    n = cfg.count("tangent.identity_samples", 10_000)
 
     def draw(k):  # rows (p + v, gauge of v at p)
         V = rng.standard_normal((k, 2))
@@ -1025,7 +1023,7 @@ def suite_tangent(cfg: RunConfig) -> Checks:
                             {"samples": n, "mismatches": mismatches})
 
     worst_h, worst_s, worst_id = 0.0, 0.0, 0.0
-    for _ in range(cfg.count("tangent.algebra", 500)):
+    for _ in range(algebra):
         p = sample_interior(poly, rng, 1, bound=1.6, min_margin=0.1)[0]
         u = rng.standard_normal(3)
         v = rng.standard_normal(3)
@@ -1044,8 +1042,10 @@ def suite_tangent(cfg: RunConfig) -> Checks:
 
 
 def suite_appendix(cfg: RunConfig) -> Checks:
-    rng = yield
     n = cfg.count("appendix.constructions", 1000)
+    cross_ratio_maps = cfg.count("appendix.cross_ratio_maps", 300)
+    replays = cfg.count("appendix.replay", 500)
+    rng = yield
     hand = menelaus_product([0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                             [1.5, -0.5], [0.0, 0.25], [0.5, 0.0])
     rng = yield CheckResult("menelaus_hand_instance", abs(hand - 1.0) <= 1e-12,
@@ -1120,7 +1120,7 @@ def suite_appendix(cfg: RunConfig) -> Checks:
 
     base = cross_ratio([-1.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0])
     rows, images = [], []
-    for _ in range(cfg.count("appendix.cross_ratio_maps", 300)):
+    for _ in range(cross_ratio_maps):
         pts = np.array([[-1.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         pts = pts + rng.uniform(-0.2, 0.2) * np.array([[1.0, 0.5]] * 4)
         P = random_projective_map(rng, pts)
@@ -1137,7 +1137,7 @@ def suite_appendix(cfg: RunConfig) -> Checks:
     # the aligned case.  Compared relatively (the ratios are exponentials).
     worst = -np.inf
     aligned_when_equal = True
-    for _ in range(cfg.count("appendix.replay", 500)):
+    for _ in range(replays):
         poly = random_polygon(rng)
         pts = sample_interior(poly, rng, 3, bound=1.6, min_margin=1e-2)
         u, v = pts[1] - pts[0], pts[2] - pts[0]
@@ -1160,10 +1160,10 @@ def suite_appendix(cfg: RunConfig) -> Checks:
 
 
 def suite_relative(cfg: RunConfig) -> Checks:
+    n = cfg.count("relative.pairs", 500)
     rng = yield
     ball = unit_ball()
 
-    n = cfg.count("relative.pairs", 500)
     X = sample_interior(ball, rng, n, bound=1.0)
     Y = sample_interior(ball, rng, n, bound=1.0)
     worst = 0.0
@@ -1226,37 +1226,47 @@ def _seeded(suite, salt: int):
     return run
 
 
-SUITES = {
-    "convex-core": _seeded(suite_convex_core, salt=1),
-    "oracle-closedform": _seeded(suite_oracle_closedform, salt=2),
-    "axioms": _seeded(suite_axioms, salt=3),
-    "monotonicity": _seeded(suite_monotonicity, salt=4),
-    "invariance": _seeded(suite_invariance, salt=5),
-    "completeness": _seeded(suite_completeness, salt=6),
-    "ratio": _seeded(suite_ratio, salt=7),
-    "balls": _seeded(suite_balls, salt=8),
-    "sandwich": _seeded(suite_sandwich, salt=9),
-    "triangle": _seeded(suite_triangle, salt=10),
-    "geodesic": _seeded(suite_geodesic, salt=11),
-    "projection": _seeded(suite_projection, salt=12),
-    "tangent": _seeded(suite_tangent, salt=13),
-    "appendix": _seeded(suite_appendix, salt=14),
-    "relative": _seeded(suite_relative, salt=15),
+SALTED = {  # name: (suite, salt)
+    "convex-core": (suite_convex_core, 1),
+    "oracle-closedform": (suite_oracle_closedform, 2),
+    "axioms": (suite_axioms, 3),
+    "monotonicity": (suite_monotonicity, 4),
+    "invariance": (suite_invariance, 5),
+    "completeness": (suite_completeness, 6),
+    "ratio": (suite_ratio, 7),
+    "balls": (suite_balls, 8),
+    "sandwich": (suite_sandwich, 9),
+    "triangle": (suite_triangle, 10),
+    "geodesic": (suite_geodesic, 11),
+    "projection": (suite_projection, 12),
+    "tangent": (suite_tangent, 13),
+    "appendix": (suite_appendix, 14),
+    "relative": (suite_relative, 15),
 }
+SUITES = {name: _seeded(suite, salt) for name, (suite, salt) in SALTED.items()}
+
+
+def _suite_names(name: str) -> list[str]:
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)} or 'all'")
+    return list(SUITES) if name == "all" else [name]
+
+
+def count_keys(name: str) -> set[str]:
+    """The count keys a run of one suite (or "all") reads, found without running a check:
+    each suite reads its counts before its first one.  ``run_suite`` ignores other keys."""
+    cfg = RunConfig()
+    for suite_name in _suite_names(name):
+        next(SALTED[suite_name][0](cfg))
+    return cfg.read
 
 
 def run_suite(name: str, cfg: RunConfig | None = None) -> dict:
     """Run one suite (or "all") and return a deterministic report."""
     cfg = cfg or RunConfig()
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
-        raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)} or 'all'")
     start = time.time()
     checks = []
-    for suite_name in names:
+    for suite_name in _suite_names(name):
         for result in SUITES[suite_name](cfg):
             checks.append({"suite": suite_name, "name": result.name,
                            "passed": bool(result.passed),

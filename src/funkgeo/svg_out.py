@@ -38,7 +38,7 @@ def domain_outline(domain: ConvexDomain, samples: int = OUTLINE_SAMPLES) -> np.n
     pts = []
     for theta in 2.0 * np.pi * np.arange(samples) / samples:
         u = np.array([np.cos(theta), np.sin(theta)])
-        hit = domain.ray_boundary(center, center + u)
+        hit = domain._cast(center, center + u)
         if hit.at_infinity:
             raise GeometryError("cannot outline an unbounded domain")
         pts.append(hit.point)

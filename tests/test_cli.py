@@ -211,6 +211,17 @@ def test_suite_unknown_count_keys_exit_2(tmp_path, capsys):
     assert _constants() == before
 
 
+def test_unknown_count_key_is_rejected_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    for name, suite in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, lambda cfg, _n=name, _s=suite: ran.append(_n) or _s(cfg))
+    out = tmp_path / "report.json"
+    assert main(["suite", "all", "--count", "triangle.edge_triple=5", "--out", str(out)]) == 2
+    assert "no check of suite 'all' reads --count triangle.edge_triple" in capsys.readouterr().err
+    assert not out.exists()
+    assert ran == []
+
+
 def test_count_overrides_do_not_leak_between_runs(tmp_path, capsys):
     before = _constants()
     args = ["suite", "convex-core", "--count", "convex_core.rays=20",

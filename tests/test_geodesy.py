@@ -127,6 +127,15 @@ def test_cone_member_validates_face(square):
         FaceCone(base=np.zeros(2), face=set())
 
 
+def test_cone_member_rejects_negative_face_indices():
+    # Row -2 of this pair is row 0: a negative index must not wrap around to it.
+    pair = HPolytope([[0.0, -1.0], [-1.0, 0.0]], [0.0, 1.0], witness=[0.0, 1.0])
+    for face in ({-2}, {-1, 0}, {2}):
+        with pytest.raises(GeometryError) as err:
+            cone_member(pair, FaceCone(base=[0.0, 1.0], face=face), [1.0, 0.0])
+        assert str(err.value) == "face constraint index out of range"
+
+
 # --- polyline geodesics -----------------------------------------------------------
 
 def test_subdivided_segment_is_geodesic(square, ball):

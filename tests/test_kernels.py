@@ -13,6 +13,7 @@ rows of ``interior_samples``.
 
 import gc
 import math
+import sys
 import warnings
 import weakref
 
@@ -24,7 +25,9 @@ from hypothesis import strategies as st
 from funkgeo import (
     AffineImage,
     AffineMap,
+    DomainSpecError,
     EuclideanBall,
+    FaceCone,
     GeometryError,
     HPolytope,
     IntersectionDomain,
@@ -40,10 +43,23 @@ from funkgeo import (
     tangent_norm,
     triangle_report,
 )
-from funkgeo import metric_engine
-from funkgeo.ball_geometry import backward_ball, forward_ball, sphere_directions, sphere_sample
+from funkgeo import convex_core, metric_engine
+from funkgeo.ball_geometry import (
+    backward_ball,
+    forward_ball,
+    sandwich,
+    sphere_directions,
+    sphere_sample,
+)
 from funkgeo.convex_core import _row_lengths
-from funkgeo.geodesy import triangle_batch
+from funkgeo.finsler_tangent import finite_difference_check, polytope_support_form
+from funkgeo.geodesy import (
+    cone_member,
+    polyline_face_witness,
+    triangle_batch,
+    unique_geodesic_pair,
+)
+from funkgeo.projection import foot_certificate, nearest_on_convex, nearest_on_segment
 from funkgeo.suites import _edge_aligned_triples, random_polytope, sample_interior
 
 SQUARE = HPolytope.box([-1.0, -1.0], [1.0, 1.0])
@@ -200,35 +216,84 @@ def _count_calls(monkeypatch, cls, name):
     original = getattr(cls, name)
 
     def counted(self, *args):
-        calls.append(name)
+        calls.append(self)
         return original(self, *args)
 
     monkeypatch.setattr(cls, name, counted)
     return calls
 
 
+def _count_as_point(monkeypatch):
+    calls = []
+    original = convex_core.as_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("funkgeo") and getattr(module, "as_point", None) is original:
+            monkeypatch.setattr(module, "as_point", counted)
+    return calls
+
+
 def test_queries_validate_once_and_cast_once_per_exit(monkeypatch):
     x, y, z = [0.1, 0.0], [0.2, 0.3], [-0.3, 0.1]
+    ball = KINDS["ball"]
     relative_funk(SQUARE, OUTER, x, y)  # the containment verdict is cached from here on
+    SQUARE.base_point(), T_IN.base_point()  # as are the base points
+    cone, polyline = FaceCone(base=x, face={0}), [x, y, [0.3, 0.5]]
     calls = {name: _count_calls(monkeypatch, HPolytope, name)
              for name in ("_margin", "_exit", "_line", "_hit", "contains")}
-    # (query, _exit, _line, _hit): distances read exit parameters only, and
-    # the two exits of one line come from one two-sided cast.
-    for query, exits, lines, hits in (
-            (lambda: funk(SQUARE, x, y), 1, 0, 0),
-            (lambda: reverse_funk(SQUARE, x, y), 1, 0, 0),
-            (lambda: tangent_norm(SQUARE, x, y), 1, 0, 0),
-            (lambda: relative_funk(SQUARE, OUTER, x, y), 2, 0, 0),
-            (lambda: hilbert(SQUARE, x, y), 0, 1, 0),
-            (lambda: max_symmetrized(SQUARE, x, y), 0, 1, 0),
-            (lambda: triangle_report(SQUARE, x, y, z), 3, 0, 3)):
-        for counted in calls.values():
+    as_point = _count_as_point(monkeypatch)
+    # (query, _exit, _line, _hit, as_point): distances read exit parameters
+    # only, the two exits of one line come from one two-sided cast, and each
+    # point argument is validated once.
+    for query, exits, lines, hits, checks in (
+            (lambda: funk(SQUARE, x, y), 1, 0, 0, 2),
+            (lambda: reverse_funk(SQUARE, x, y), 1, 0, 0, 2),
+            (lambda: tangent_norm(SQUARE, x, y), 1, 0, 0, 2),
+            (lambda: relative_funk(SQUARE, OUTER, x, y), 2, 0, 0, 2),
+            (lambda: hilbert(SQUARE, x, y), 0, 1, 0, 2),
+            (lambda: max_symmetrized(SQUARE, x, y), 0, 1, 0, 2),
+            (lambda: triangle_report(SQUARE, x, y, z), 3, 0, 3, 3)):
+        for counted in (*calls.values(), as_point):
             counted.clear()
         query()
-        assert (len(calls["_exit"]), len(calls["_line"]), len(calls["_hit"])) \
-            == (exits, lines, hits)
+        assert (len(calls["_exit"]), len(calls["_line"]), len(calls["_hit"]), len(as_point)) \
+            == (exits, lines, hits, checks)
         assert len(calls["_margin"]) <= 3
         assert not calls["contains"]
+
+    # The library functions built on the queries validate each point argument
+    # once and hand it to the kernels, never back to contains or ray_boundary
+    # of the domain.  The counts above one per point come from public calls on
+    # a boundary point (active_face, support_normals), on a homothety centre,
+    # and from foot_certificate's test of y against the target.
+    public = {name: [_count_calls(monkeypatch, cls, name)
+                     for cls in (HPolytope, EuclideanBall, AffineImage, IntersectionDomain)]
+              for name in ("contains", "ray_boundary")}
+    for query, checks in (
+            (lambda: unique_geodesic_pair(ball, x, y), 2),
+            (lambda: unique_geodesic_pair(SQUARE, x, y), 3),
+            (lambda: cone_member(SQUARE, cone, [1.0, 0.2]), 2),
+            (lambda: polyline_face_witness(SQUARE, polyline), 3),
+            (lambda: finite_difference_check(SQUARE, x, [0.0, 0.0], y, 10.0 ** -np.arange(1, 6)),
+             3),
+            (lambda: nearest_on_segment(ball, x, (y, z)), 3),
+            (lambda: nearest_on_segment(SQUARE, x, (y, z)), 3),
+            (lambda: nearest_on_convex(SQUARE, [-0.5, -0.2], T_IN), 2),
+            (lambda: foot_certificate(SQUARE, [-0.5, -0.2], [0.15, 0.25], T_IN), 4),
+            (lambda: forward_ball(SQUARE, x, 0.5), 3),
+            (lambda: backward_ball(SQUARE, x, 0.5), 4),
+            (lambda: sandwich(SQUARE, x), 1),
+            (lambda: polytope_support_form(SQUARE, x, y), 2)):
+        for counted in (*public["contains"], *public["ray_boundary"], as_point):
+            counted.clear()
+        query()
+        assert len(as_point) == checks
+        assert not any(public["ray_boundary"])
+        assert all(domain is T_IN for counted in public["contains"] for domain in counted)
 
 
 # --- a two-sided cast gives the bits of two one-sided ones ------------------------
@@ -327,6 +392,124 @@ MESSAGES = [  # (function, arguments after the domain, message), on every kind
 def test_public_functions_keep_their_messages(kind, fn, args, message):
     with pytest.raises(GeometryError) as err:
         fn(KINDS[kind], *args)
+    assert str(err.value) == message
+
+
+T_IN = HPolytope.box([0.15, 0.25], [0.25, 0.35])  # around IN2, inside every kind
+T_OUT = HPolytope.box([4.0, 4.0], [6.0, 6.0])  # around OUT, outside every kind
+
+
+def _ray(domain, x, y):
+    return domain.ray_boundary(x, y)
+
+
+LIBRARY_MESSAGES = [  # (function, arguments after the domain, message), on every kind
+    (_ray, (OUT, IN), "ray origin is not interior to the domain"),
+    (_ray, (NAN, IN), "ray origin has a non-finite coordinate"),
+    (_ray, (IN, INF), "ray target has a non-finite coordinate"),
+    (_ray, (IN, DIM3), "ray target has dimension 3, expected 2"),
+    (_ray, (IN, IN), "ray origin and target coincide"),
+    (unique_geodesic_pair, (OUT, IN), "both points must be interior"),
+    (unique_geodesic_pair, (IN, OUT), "both points must be interior"),
+    (unique_geodesic_pair, (NAN, IN), "x has a non-finite coordinate"),
+    (unique_geodesic_pair, (IN, DIM3), "z has dimension 3, expected 2"),
+    (unique_geodesic_pair, (IN, IN), "unique-geodesy needs two distinct points"),
+    (nearest_on_segment, (OUT, (IN2, IN3)), "x must be interior to the domain"),
+    (nearest_on_segment, (NAN, (IN2, IN3)), "x has a non-finite coordinate"),
+    (nearest_on_segment, (IN, (OUT, IN3)), "segment endpoints must be interior to the domain"),
+    (nearest_on_segment, (IN, (IN2, OUT)), "segment endpoints must be interior to the domain"),
+    (nearest_on_segment, (IN, (INF, IN3)), "segment start has a non-finite coordinate"),
+    (nearest_on_segment, (IN, (IN2, DIM3)), "segment end has dimension 3, expected 2"),
+    (foot_certificate, (OUT, IN2, T_IN), "x is not interior to the domain"),
+    (foot_certificate, (NAN, IN2, T_IN), "x has a non-finite coordinate"),
+    (foot_certificate, (IN, IN3, T_IN), "y must belong to the target set"),
+    (foot_certificate, (IN, INF, T_IN), "y has a non-finite coordinate"),
+    (foot_certificate, (IN, OUT, T_OUT), "y is not interior to the domain"),
+    *[(fn, args, msg) for fn in (forward_ball, backward_ball) for args, msg in (
+        ((OUT, 0.5), "ball center must be interior to the domain"),
+        ((NAN, 0.5), "center has a non-finite coordinate"),
+        ((DIM3, 0.5), "center has dimension 3, expected 2"),
+        ((IN, 0.0), "ball radius must be a positive finite number"),
+        ((IN, math.inf), "ball radius must be a positive finite number"))],
+    (finite_difference_check, (OUT, [0.0, 0.0], [1.0, 0.0], [0.1]),
+     "base point must be interior to the domain"),
+    (finite_difference_check, (INF, [0.0, 0.0], [1.0, 0.0], [0.1]),
+     "base point has a non-finite coordinate"),
+    (finite_difference_check, (IN, NAN, [1.0, 0.0], [0.1]), "x has a non-finite coordinate"),
+    (finite_difference_check, (IN, [0.0, 0.0], DIM3, [0.1]), "y has dimension 3, expected 2"),
+    (finite_difference_check, (IN, [0.0, 0.0], [100.0, 0.0], [0.5]),
+     "sample escapes the domain at t=0.5"),
+    (finite_difference_check, (IN, [0.0, 0.0], [1.0, 0.0], [0.0]),
+     "difference-quotient steps must be positive"),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("fn, args, message", LIBRARY_MESSAGES)
+def test_library_functions_keep_their_messages(kind, fn, args, message):
+    with pytest.raises(GeometryError) as err:
+        fn(KINDS[kind], *args)
+    assert str(err.value) == message
+
+
+POLYTOPE_MESSAGES = [  # (call on the square, error class, message)
+    (lambda: cone_member(SQUARE, FaceCone(base=OUT, face={0}), [1.0, 0.0]),
+     GeometryError, "cone base must be interior"),
+    (lambda: cone_member(SQUARE, FaceCone(base=DIM3, face={0}), [1.0, 0.0]),
+     GeometryError, "cone base has dimension 3, expected 2"),
+    (lambda: cone_member(SQUARE, FaceCone(base=IN, face={0}), NAN),
+     GeometryError, "direction has a non-finite coordinate"),
+    (lambda: cone_member(SQUARE, FaceCone(base=IN, face={0}), DIM3),
+     GeometryError, "direction has dimension 3, expected 2"),
+    (lambda: cone_member(SQUARE, FaceCone(base=IN, face={4}), [1.0, 0.0]),
+     GeometryError, "face constraint index out of range"),
+    (lambda: polyline_face_witness(SQUARE, [OUT, IN]),
+     GeometryError, "ray origin is not interior to the domain"),
+    (lambda: polyline_face_witness(SQUARE, [IN, OUT], reverse=True),
+     GeometryError, "ray origin is not interior to the domain"),
+    (lambda: polyline_face_witness(SQUARE, [IN, NAN]),
+     GeometryError, "polyline[1] has a non-finite coordinate"),
+    (lambda: polyline_face_witness(SQUARE, [IN, IN2, IN2]),
+     GeometryError, "ray origin and target coincide"),
+    (lambda: polyline_face_witness(SQUARE, [IN]),
+     GeometryError, "a polyline needs at least two points"),
+    (lambda: nearest_on_convex(SQUARE, OUT, T_IN),
+     GeometryError, "x must be interior to the domain"),
+    (lambda: nearest_on_convex(SQUARE, NAN, T_IN),
+     GeometryError, "x has a non-finite coordinate"),
+    (lambda: nearest_on_convex(SQUARE, DIM3, T_IN),
+     GeometryError, "x has dimension 3, expected 2"),
+    (lambda: nearest_on_convex(SQUARE, IN, T_OUT),
+     GeometryError, "target set is not contained in the domain"),
+    (lambda: sandwich(SQUARE, OUT), GeometryError, "x must be interior to the polytope"),
+    (lambda: sandwich(SQUARE, INF), GeometryError, "x has a non-finite coordinate"),
+    (lambda: sandwich(SQUARE, DIM3), GeometryError, "x has dimension 3, expected 2"),
+    (lambda: polytope_support_form(SQUARE, OUT, [1.0, 0.0]),
+     GeometryError, "base point must be interior to the polytope"),
+    (lambda: polytope_support_form(SQUARE, NAN, [1.0, 0.0]),
+     GeometryError, "base point has a non-finite coordinate"),
+    (lambda: polytope_support_form(SQUARE, IN, INF),
+     GeometryError, "vector has a non-finite coordinate"),
+    (lambda: polytope_support_form(SQUARE, IN, DIM3),
+     GeometryError, "vector has dimension 3, expected 2"),
+    (lambda: HPolytope(SQUARE.A, SQUARE.b, witness=OUT),
+     DomainSpecError, "witness point is not strictly interior"),
+    (lambda: HPolytope(SQUARE.A, SQUARE.b, witness=NAN),
+     GeometryError, "witness has a non-finite coordinate"),
+    (lambda: IntersectionDomain([SQUARE, T_IN], witness=IN),
+     DomainSpecError, "witness is not interior to every part"),
+    (lambda: IntersectionDomain([SQUARE, T_IN], witness=DIM3),
+     GeometryError, "witness has dimension 3, expected 2"),
+    (lambda: IntersectionDomain([SQUARE, T_OUT]).base_point(),
+     DomainSpecError, "cannot infer an interior point of the intersection; supply a witness"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", POLYTOPE_MESSAGES)
+def test_polytope_functions_and_constructors_keep_their_messages(call, error, message):
+    with pytest.raises(GeometryError) as err:
+        call()
+    assert type(err.value) is error
     assert str(err.value) == message
 
 

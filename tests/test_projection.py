@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from funkgeo import (
     nearest_on_convex,
     nearest_on_segment,
 )
-from funkgeo import _linprog, projection
+from funkgeo import _linprog
 from funkgeo._linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -206,9 +207,15 @@ def test_segment_search_validates_each_input_once(monkeypatch, kind):
     # one validation per input point.
     domain, x, seg, (_, distance) = FEET[kind]
     funk_calls, validated = [], []
-    monkeypatch.setattr(projection, "funk", lambda *args: funk_calls.append(args) or funk(*args))
-    monkeypatch.setattr(projection, "as_point",
-                        lambda p, dim, name: validated.append(name) or as_point(p, dim, name))
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("funkgeo"):
+            continue
+        if getattr(module, "funk", None) is funk:
+            monkeypatch.setattr(module, "funk",
+                                lambda *args: funk_calls.append(args) or funk(*args))
+        if getattr(module, "as_point", None) is as_point:
+            monkeypatch.setattr(module, "as_point", lambda p, dim=None, name="point":
+                                validated.append(name) or as_point(p, dim, name))
     foot = nearest_on_segment(domain, x, seg)
     assert funk_calls == [] and validated == ["x", "segment start", "segment end"]
     assert float.hex(foot.distance) == distance

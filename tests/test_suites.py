@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from funkgeo import suites
-from funkgeo.suites import SUITES, RunConfig, run_suite
+from funkgeo.suites import SUITES, RunConfig, count_keys, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -85,6 +85,10 @@ def test_suite_all_reads_the_count_keys_the_benchmark_scans(monkeypatch):
     run_suite("all", cfg)
     scanned = suite_counts(ROOT / "src", 1)  # at scale 1, the defaults
     assert cfg.read == set(defaults) and len(cfg.read) == 34
+    # Each suite reads its counts before its first check, so starting the
+    # generators finds every key without running a check.
+    assert count_keys("all") == cfg.read
+    assert set().union(*map(count_keys, SUITES)) == cfg.read
     assert cfg.read - set(scanned) == {"completeness.horizon"}  # the one unscaled key
     assert {key: defaults[key] for key in scanned} == scanned
 
