@@ -29,7 +29,6 @@ from .convex_core import (
     HPolytope,
     IntersectionDomain,
     LinearForm,
-    affine_image,
     supporting_functional,
     to_projective,
 )

@@ -8,22 +8,26 @@ that is not the whole space.  Four representations are supported:
 - ``AffineImage``     -- invertible affine image of another domain,
 - ``IntersectionDomain`` -- intersection of several domains.
 
-Every domain answers three questions through one uniform interface:
+Every domain answers two questions through one uniform interface:
 
 - ``contains(x)``     -- signed margin, positive iff x is strictly interior,
 - ``ray_boundary(x, y)`` -- where the ray from interior x through y leaves
   the domain: either a finite boundary point with its ray parameter t
   (the exit point is x + t*(y - x), and t > 1 iff y is interior) or "at
   infinity" with the recession direction when the ray never leaves,
-- ``support_direction(a)`` -- an outward normal direction at a boundary
-  point, from which :func:`supporting_functional` builds the linear form
-  h with h(a) = 1 and h < 1 on the domain (after recentering at an
-  interior base point).
 
-Per-kind geometry lives on the domain classes, as one method with a base
-default that a kind overrides only where its geometry differs: the ray
-casts, ``homothet`` (a negative factor reflects; metric balls are made of
-these), ``support_normals``, ``is_exposed_at`` and the boundary gate.
+and lists the outward normals of its support hyperplanes at a boundary
+point a, ``support_normals(a)``.  :func:`supporting_functional` builds from
+the nearest one the form h with h(a) = 1 and h < 1 on the domain (after
+recentering at an interior base point).
+
+The public methods validate each point once, then call unchecked kernels
+(``_margin``, ``_cast``, ``_normals``, ...), which library code holding
+validated points calls directly.  Per-kind geometry lives on the domain
+classes, as one method with a base default that a kind overrides only
+where its geometry differs: the ray casts, ``homothet`` (a negative factor
+reflects; metric balls are made of these), the support kernels and the
+boundary gate.
 
 All values are immutable after construction and every operation is a pure
 function, so domains are safe to share between threads.
@@ -183,18 +187,13 @@ class ConvexDomain:
         x = _check_interior(self, x, "ray origin")
         return self._cast(x, as_point(y, self.dim, "ray target"))
 
-    def support_direction(self, a) -> Vector:
-        """Outward normal direction at a boundary point a."""
-        raise NotImplementedError
-
     def support_normals(self, a) -> list[Vector]:
         """Outward normals of the support hyperplanes at a boundary point a."""
-        return [self.support_direction(a)]
+        return self._normals(as_point(a, self.dim))
 
     def is_exposed_at(self, a) -> bool:
         """Whether boundary point a is exposed: its support normals span the space."""
-        normals = np.array(self.support_normals(a))
-        return bool(np.linalg.matrix_rank(normals, tol=1e-10) == self.dim)
+        return self._exposed(as_point(a, self.dim))
 
     def homothet(self, center, factor: float) -> "ConvexDomain":
         """Image under the homothety at ``center``; a negative factor reflects."""
@@ -249,6 +248,17 @@ class ConvexDomain:
         if math.sqrt(d @ d) <= tol.EPS_PT:
             raise GeometryError("ray origin and target coincide")
         return self._hit(x, y, d)
+
+    def _normals(self, a) -> list[Vector]:
+        """``support_normals`` of a finite point a; raises if a is off the boundary."""
+        raise NotImplementedError
+
+    def _normal(self, a) -> Vector:
+        """Outward normal of the support hyperplane nearest to boundary point a."""
+        return self._normals(a)[0]
+
+    def _exposed(self, a) -> bool:
+        return bool(np.linalg.matrix_rank(np.array(self._normals(a)), tol=1e-10) == self.dim)
 
     def _margins(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -355,18 +365,11 @@ class HPolytope(ConvexDomain):
         t = np.where(_row_min(self.b - Y @ self.A.T) > 0.0, t, np.minimum(t, 1.0))
         return np.where(_row_min(slack) > 0.0, t, np.nan)
 
-    def support_direction(self, a) -> Vector:
-        a = as_point(a, self.dim)
-        dist = (self.b - self.A @ a) / self._row_norms
-        if abs(np.min(dist)) > tol.EPS_BD:
-            raise GeometryError("point is not on the domain boundary")
-        # Most activated constraint; ties resolve to the lowest index.
-        act = -dist
-        j = int(np.flatnonzero(act >= np.max(act) - 1e-12)[0])
-        return self.A[j] / self._row_norms[j]
+    def _normals(self, a) -> list[Vector]:
+        return [self.A[j] for j in self._face_rows(a)[1]]
 
-    def support_normals(self, a) -> list[Vector]:
-        return [self.A[j] for j in sorted(self.active_face(a))]
+    def _normal(self, a) -> Vector:
+        return self.A[self._face_rows(a)[0]]
 
     def homothet(self, center, factor: float) -> "HPolytope":
         center = as_point(center, self.dim, "homothety center")
@@ -405,17 +408,19 @@ class HPolytope(ConvexDomain):
 
     def active_face(self, a) -> frozenset[int]:
         """Indices of constraints active at boundary point a (nonempty)."""
-        return self._active_face(as_point(a, self.dim))
+        return frozenset(self._face_rows(as_point(a, self.dim))[1])
 
-    def _active_face(self, a) -> frozenset[int]:
-        dist = (self.b - self.A @ a) / self._row_norms
-        if abs(np.min(dist)) > tol.EPS_BD:
-            raise GeometryError(
-                "active face undefined: point is interior or exterior")
-        active = frozenset(int(j) for j in np.flatnonzero(np.abs(dist) <= tol.EPS_FACE))
-        if not active:
-            raise GeometryError("empty active set")
-        return active
+    def _face_rows(self, a) -> tuple[int, list[int]]:
+        """The row nearest to boundary point a (exact ties to the lowest
+        index) and the rows active at a, in index order."""
+        slack = self.b - self.A @ a
+        if abs(slack.min()) > self._boundary_gate():  # the gate of ``_touching``
+            raise GeometryError("point is not on the domain boundary")
+        dist = slack / self._row_norms
+        j = int(np.argmin(dist))
+        active = np.abs(dist) <= tol.EPS_FACE
+        active[j] = True  # rows of unequal norm can leave it outside EPS_FACE
+        return j, [int(i) for i in np.flatnonzero(active)]
 
     def recession_contains(self, v) -> bool:
         """True iff direction v is a recession direction of the closure."""
@@ -522,14 +527,14 @@ class EuclideanBall(ConvexDomain):
         t = np.where(self._margins(Y) > 0.0, t, np.minimum(t, 1.0))
         return np.where(self.radius - np.sqrt(ww) > 0.0, t, np.nan)
 
-    def support_direction(self, a) -> Vector:
-        a = as_point(a, self.dim)
+    def _normals(self, a) -> list[Vector]:
         w = a - self.center
-        if abs(np.linalg.norm(w) - self.radius) > tol.EPS_BD:
+        r = np.linalg.norm(w)
+        if abs(r - self.radius) > tol.EPS_BD:
             raise GeometryError("point is not on the ball boundary")
-        return w / np.linalg.norm(w)
+        return [w / r]
 
-    def is_exposed_at(self, a) -> bool:
+    def _exposed(self, a) -> bool:
         return True
 
     def homothet(self, center, factor: float) -> "EuclideanBall":
@@ -633,18 +638,17 @@ class AffineImage(ConvexDomain):
     def _exits(self, X, Y) -> np.ndarray:
         return self.inner._exits(self.map.invert(X), self.map.invert(Y))
 
-    def support_direction(self, a) -> Vector:
-        a = as_point(a, self.dim)
-        c = self.inner.support_direction(self.map.invert(a))
-        return self.map.inverse_matrix.T @ c
+    def _normals(self, a) -> list[Vector]:
+        return [self.map.inverse_matrix.T @ c for c in self.inner._normals(self.map.invert(a))]
 
-    def support_normals(self, a) -> list[Vector]:
-        a = as_point(a, self.dim)
-        return [self.map.inverse_matrix.T @ c
-                for c in self.inner.support_normals(self.map.invert(a))]
+    def _normal(self, a) -> Vector:
+        return self.map.inverse_matrix.T @ self.inner._normal(self.map.invert(a))
 
-    def is_exposed_at(self, a) -> bool:
-        return self.inner.is_exposed_at(self.map.invert(as_point(a, self.dim)))
+    def _exposed(self, a) -> bool:
+        return self.inner._exposed(self.map.invert(a))
+
+    def _boundary_gate(self) -> float:
+        return self.map.sigma_min * self.inner._boundary_gate()  # as ``_margin`` scales
 
     def base_point(self) -> Vector:
         return self.map(self.inner.base_point())
@@ -694,19 +698,15 @@ class IntersectionDomain(ConvexDomain):
             raise GeometryError("point is not on the intersection boundary")
         return parts
 
-    def support_direction(self, a) -> Vector:
-        a = as_point(a, self.dim)
-        return self._touching(a)[0].support_direction(a)  # lowest part index wins
+    def _normals(self, a) -> list[Vector]:
+        return [c for p in self._touching(a) for c in p._normals(a)]
 
-    def support_normals(self, a) -> list[Vector]:
-        a = as_point(a, self.dim)
-        return [c for p in self._touching(a) for c in p.support_normals(a)]
+    def _normal(self, a) -> Vector:
+        return self._touching(a)[0]._normal(a)  # lowest part index wins
 
-    def is_exposed_at(self, a) -> bool:
+    def _exposed(self, a) -> bool:
         """Exposed in some part through a, or by the stacked normals of all."""
-        a = as_point(a, self.dim)
-        return (any(p.is_exposed_at(a) for p in self._touching(a))
-                or super().is_exposed_at(a))
+        return any(p._exposed(a) for p in self._touching(a)) or super()._exposed(a)
 
     def base_point(self) -> Vector:
         if self._base is None:
@@ -732,15 +732,10 @@ def supporting_functional(domain: ConvexDomain, a) -> LinearForm:
     after translating the domain so that p0 is the origin.
     """
     a = as_point(a, domain.dim, "boundary point")
-    c = domain.support_direction(a)
+    c = domain._normal(a)
     p0 = domain.base_point()
     denom = float(c @ (a - p0))
     if denom <= 0.0:
         raise GeometryError("degenerate supporting direction")
     coeffs = c / denom
     return LinearForm(coeffs, -float(coeffs @ p0))
-
-
-def affine_image(domain: ConvexDomain, amap: AffineMap) -> AffineImage:
-    """The image of a domain under an invertible affine map."""
-    return AffineImage(domain, amap)

@@ -143,7 +143,7 @@ def cone_member(polytope: HPolytope, cone: FaceCone, v) -> bool:
         idx = sorted(cone.face)
         on_face = np.all(np.abs(polytope.A[idx] @ d) <= tol.EPS_FACE * polytope._row_norms[idx])
         return bool(on_face and polytope.recession_contains(d))
-    return cone.face <= polytope._active_face(hit.point)
+    return cone.face <= frozenset(polytope._face_rows(hit.point)[1])
 
 
 def _verify_polyline(metric, domain: ConvexDomain, polyline) -> tuple[bool, float]:
@@ -192,7 +192,7 @@ def polyline_face_witness(polytope: HPolytope, polyline,
         hit = polytope._cast(p, q)
         if hit.at_infinity:
             return frozenset()
-        faces.append(polytope._active_face(hit.point))
+        faces.append(frozenset(polytope._face_rows(hit.point)[1]))
     return frozenset.intersection(*faces)
 
 
@@ -211,4 +211,4 @@ def unique_geodesic_pair(domain: ConvexDomain, x, z) -> bool:
     hit = domain._hit(x, z, d)
     if hit.at_infinity:
         raise GeometryError("unique-geodesy predicate is undefined for hits at infinity")
-    return domain.is_exposed_at(hit.point)
+    return domain._exposed(hit.point)

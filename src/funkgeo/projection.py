@@ -136,6 +136,8 @@ def nearest_on_convex(domain: HPolytope, x, a_set: HPolytope) -> Foot:
     if not isinstance(domain, HPolytope) or not isinstance(a_set, HPolytope):
         raise GeometryError("nearest_on_convex works on polytopal domain and target")
     x = _check_interior(domain, x, "x", "x must be interior to the domain")
+    if a_set.dim != domain.dim:
+        raise GeometryError(f"target set has dimension {a_set.dim}, expected {domain.dim}")
     _validate_subset(domain, a_set)
 
     if a_set._margin(x) >= 0.0:
@@ -182,7 +184,7 @@ def _separating_form(domain: ConvexDomain, x: np.ndarray, y: np.ndarray,
     """
     d = y - x
     a = domain._hit(x, y, d).point
-    C = np.array(domain.support_normals(a))
+    C = np.array(domain._normals(a))
     k, m, n = C.shape[0], a_set.A.shape[0], domain.dim
     normal = np.hstack([C.T, a_set.A.T])  # h + A_T^T mu
     slope = np.concatenate([C @ d / np.linalg.norm(d), np.zeros(m)])
@@ -236,7 +238,7 @@ def is_perpendicular(domain: ConvexDomain, ray_from, boundary_hit,
     if abs(plane(ray_from)) > 1e-9 * scale:
         raise GeometryError("plane must pass through the ray base")
     n = plane.coeffs / np.linalg.norm(plane.coeffs)
-    U = np.array([c / np.linalg.norm(c) for c in domain.support_normals(boundary_hit)])
+    U = np.array([c / np.linalg.norm(c) for c in domain._normals(boundary_hit)])
     # +-n in the cone of the unit normals, each coordinate within EPS_PARA
     lhs = np.vstack([U.T, -U.T, -np.eye(len(U))])
     rhs = np.concatenate([n, -n, np.zeros(len(U))])

@@ -284,7 +284,7 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
             hit = domain.ray_boundary(x, y)
             if not hit.at_infinity:
                 boundary.append(hit.point)
-        samples = sample_interior(domain, rng, n_support // len(domains), bound=2.0)
+        samples = sample_interior(domain, rng, max(1, n_support // len(domains)), bound=2.0)
         for a in boundary[:20]:
             h = supporting_functional(domain, a)
             worst = max(worst, float(np.max(samples @ h.coeffs + h.offset)))
@@ -341,7 +341,7 @@ def suite_axioms(cfg: RunConfig) -> Checks:
     rng = yield
     domains = [(unit_square(), 1.0), (random_polytope(rng, 3), 1.6),
                (unit_ball(), 1.0)]
-    share = total // len(domains)
+    share = max(1, total // len(domains))
 
     # Samples stay 1e-2 clear of the boundary: the 1e-12 slack budget is a
     # statement about the metric, not about the conditioning of slacks of
@@ -365,9 +365,10 @@ def suite_axioms(cfg: RunConfig) -> Checks:
                              "triples": total})
 
     worst = 0.0
+    share = max(1, n_proj // len(domains))
     for domain, bound in domains:
-        X = sample_interior(domain, rng, n_proj // 3, bound=bound)
-        Y = sample_interior(domain, rng, n_proj // 3, bound=bound)
+        X = sample_interior(domain, rng, share, bound=bound)
+        Y = sample_interior(domain, rng, share, bound=bound)
         s = rng.uniform(0.05, 0.95, len(X))[:, None]
         Z = X + s * (Y - X)
         gap = np.abs(funk_batch(domain, X, Y)
@@ -379,9 +380,10 @@ def suite_axioms(cfg: RunConfig) -> Checks:
                              "triples": n_proj})
 
     min_f = np.inf
+    share = max(1, n_sep // 2)
     for domain, bound in [(unit_square(), 1.0), (unit_ball(), 1.0)]:
-        X = sample_interior(domain, rng, n_sep // 2, bound=bound)
-        Y = sample_interior(domain, rng, n_sep // 2, bound=bound)
+        X = sample_interior(domain, rng, share, bound=bound)
+        Y = sample_interior(domain, rng, share, bound=bound)
         keep = np.linalg.norm(Y - X, axis=1) > 1e-6
         min_f = min(min_f, float(np.min(funk_batch(domain, X[keep], Y[keep]))))
     half_plane = HPolytope([[0.0, -1.0]], [0.0], witness=[0.0, 1.0])
@@ -400,11 +402,12 @@ def suite_monotonicity(cfg: RunConfig) -> Checks:
     rng = yield
 
     worst = -np.inf
+    share = max(1, pairs // 2)
     for dim in (2, 3):
         outer = random_polytope(rng, dim)
         inner = outer.shifted(outer.b - 0.15)
-        X = sample_interior(inner, rng, pairs // 2, bound=1.6, min_margin=1e-2)
-        Y = sample_interior(inner, rng, pairs // 2, bound=1.6, min_margin=1e-2)
+        X = sample_interior(inner, rng, share, bound=1.6, min_margin=1e-2)
+        Y = sample_interior(inner, rng, share, bound=1.6, min_margin=1e-2)
         worst = max(worst, float(np.max(funk_batch(outer, X, Y)
                                         - funk_batch(inner, X, Y))))
     rng = yield CheckResult("smaller_domain_larger_distance", worst <= 1e-12,
@@ -504,8 +507,7 @@ def suite_invariance(cfg: RunConfig) -> Checks:
     worst = 0.0
     for dim in (2, 4):
         orthant = HPolytope(-np.eye(dim), np.zeros(dim), witness=np.ones(dim))
-        X = np.exp(rng.uniform(-2, 2, size=(n_orthant // 2, dim)))
-        Y = np.exp(rng.uniform(-2, 2, size=(n_orthant // 2, dim)))
+        X, Y = np.exp(rng.uniform(-2, 2, size=(2, max(1, n_orthant // 2), dim)))
         direct = funk_batch(orthant, X, Y)
         mapped = minkowski_max_distance(np.log(X), np.log(Y))
         worst = max(worst, float(np.max(np.abs(direct - mapped))))
@@ -611,7 +613,7 @@ def suite_balls(cfg: RunConfig) -> Checks:
     for domain in domains:
         x = sample_interior(domain, rng, 1, bound=2.0, min_margin=1e-2)[0]
         rho = rng.uniform(0.2, 2.0)
-        pts = sphere_sample(forward_ball(domain, x, rho), samples // len(domains),
+        pts = sphere_sample(forward_ball(domain, x, rho), max(3, samples // len(domains)),
                             seed=cfg.seed)
         gap = np.abs(funk_batch(domain, np.tile(x, (len(pts), 1)), pts) - rho)
         worst = max(worst, float(np.max(gap)))

@@ -146,6 +146,19 @@ def test_project_onto_polytope(square_file, tmp_path, capsys):
     assert "# certificate:" in out
 
 
+def test_project_onto_a_target_of_another_dimension_exits_2(square_file, tmp_path, capsys):
+    box3 = {"dim": 3, "kind": "hpolytope",
+            "constraints": [[1, 0, 0, 0.5], [-1, 0, 0, 0.5], [0, 1, 0, 0.5],
+                            [0, -1, 0, 0.5], [0, 0, 1, 0.5], [0, 0, -1, 0.5]],
+            "witness": [0, 0, 0]}
+    path = tmp_path / "box3.json"
+    path.write_text(json.dumps(box3))
+    assert main(["project", square_file, "0.5,0.5", "--onto", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "target set has dimension 3, expected 2" in captured.err
+
+
 def test_tangent_norm_and_steps(ball_file, capsys):
     assert main(["tangent", ball_file, "0.5,0", "1,0"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "2.000000000000"

@@ -13,7 +13,6 @@ from funkgeo import (
     GeometryError,
     HPolytope,
     IntersectionDomain,
-    affine_image,
     supporting_functional,
     to_projective,
 )
@@ -127,10 +126,47 @@ def test_supporting_functional_corner_tie_break(square):
     assert h.coeffs == pytest.approx([1.0, 0.0])
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_supporting_functional_does_not_depend_on_scale(scale):
+    # the nearest row wins, not every row within an absolute distance of it
+    square = HPolytope.box([-scale, -scale], [scale, scale])
+    a = square.ray_boundary([0.0, 0.0], [0.3 * scale, 0.4 * scale]).point
+    h = supporting_functional(square, a)
+    assert h.coeffs * scale == pytest.approx([0.0, 1.0])
+    assert h([0.1 * scale, 0.0]) == 0.0
+    assert h(a) == pytest.approx(1.0)
+
+
+def test_intersection_support_at_a_part_within_its_gate():
+    # the polytope's slack 5e-7 is within its gate, 1e-9 times its largest
+    # row norm, though its distance 5e-7 is not within 1e-9: both the part
+    # selection and the part's own face test count it as touching
+    slab = HPolytope([[1000.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                     [1000.0, 1.0, 1.0 + 5e-7, 1.0])
+    both = IntersectionDomain([EuclideanBall([0.0, 0.0], 1.0), slab])
+    h = supporting_functional(both, [0.0, 1.0])
+    assert h.coeffs == pytest.approx([0.0, 1.0]) and h.offset == 0.0
+    assert np.array_equal(both.support_normals([0.0, 1.0]), [[0.0, 1.0], [0.0, 1.0]])
+    assert slab.active_face([0.0, 1.0]) == {2}
+    # an affine image's gate scales as its margin does, so the part
+    # selection and the inner face test agree on either side of the gate
+    small = AffineImage(HPolytope.box([-1.0, -1.0], [1.0, 1.0]),
+                        AffineMap(1e-3 * np.eye(2), np.zeros(2)))
+    both = IntersectionDomain([small, EuclideanBall([0.0, 0.0], 5.0)])
+    assert np.array_equal(both.support_normals([1e-3 * (1.0 - 5e-10), 0.0]), [[1e3, 0.0]])
+    for query in (both.support_normals, lambda a: supporting_functional(both, a)):
+        with pytest.raises(GeometryError, match="^point is not on the intersection boundary$"):
+            query([1e-3 * (1.0 - 5e-7), 0.0])
+
+
 def test_support_normals_and_exposedness(square, ball):
     corner, edge = np.array([1.0, 1.0]), np.array([1.0, 0.3])
     assert np.array_equal(square.support_normals(corner), [[1.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(square.support_normals(edge), [[1.0, 0.0]])
+    # near a corner the normals come in index order; the form takes the nearest row
+    near = [1.0 - 1e-8, 1.0]
+    assert np.array_equal(square.support_normals(near), [[1.0, 0.0], [0.0, 1.0]])
+    assert supporting_functional(square, near).coeffs == pytest.approx([0.0, 1.0])
     assert square.is_exposed_at(corner) and not square.is_exposed_at(edge)
     assert np.allclose(ball.support_normals([0.0, 1.0]), [[0.0, 1.0]])
     assert ball.is_exposed_at([0.0, 1.0])
@@ -170,14 +206,18 @@ def test_active_face_tolerance(square):
 
 
 def test_active_face_rejects_interior(square):
-    with pytest.raises(GeometryError):
-        square.active_face([0.5, 0.0])
+    # one off-boundary test and one message for every polytope query
+    for query in (square.active_face, square.support_normals, square.is_exposed_at,
+                  lambda a: supporting_functional(square, a)):
+        for a in ([0.5, 0.0], [1.5, 0.0]):
+            with pytest.raises(GeometryError, match="^point is not on the domain boundary$"):
+                query(a)
 
 
 # --- affine images ------------------------------------------------------------
 
 def test_identity_image_answers_bit_identical(square):
-    image = affine_image(square, AffineMap.identity(2))
+    image = AffineImage(square, AffineMap.identity(2))
     for p in ([0.0, 0.0], [0.3, -0.7], [2.0, 0.0]):
         assert image.contains(p) == square.contains(p)
     hit = image.ray_boundary([0.0, 0.0], [0.5, 0.0])
@@ -187,14 +227,14 @@ def test_identity_image_answers_bit_identical(square):
 
 
 def test_scaled_ball_margin(ball):
-    doubled = affine_image(ball, AffineMap(2.0 * np.eye(2), np.zeros(2)))
+    doubled = AffineImage(ball, AffineMap(2.0 * np.eye(2), np.zeros(2)))
     assert doubled.contains([1.5, 0.0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rotated_square_ray(square):
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     rot = AffineMap([[c, -s], [s, c]], [0.0, 0.0])
-    image = affine_image(square, rot)
+    image = AffineImage(square, rot)
     hit = image.ray_boundary([0.0, 0.0], rot([0.5, 0.0]))
     assert hit.point == pytest.approx(rot([1.0, 0.0]), abs=1e-12)
 

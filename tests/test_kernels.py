@@ -31,6 +31,7 @@ from funkgeo import (
     GeometryError,
     HPolytope,
     IntersectionDomain,
+    LinearForm,
     funk,
     funk_batch,
     funk_polytope_closed_form,
@@ -40,6 +41,7 @@ from funkgeo import (
     minkowski_max_distance,
     relative_funk,
     reverse_funk,
+    supporting_functional,
     tangent_norm,
     triangle_report,
 )
@@ -59,7 +61,12 @@ from funkgeo.geodesy import (
     triangle_batch,
     unique_geodesic_pair,
 )
-from funkgeo.projection import foot_certificate, nearest_on_convex, nearest_on_segment
+from funkgeo.projection import (
+    foot_certificate,
+    is_perpendicular,
+    nearest_on_convex,
+    nearest_on_segment,
+)
 from funkgeo.suites import _edge_aligned_triples, random_polytope, sample_interior
 
 SQUARE = HPolytope.box([-1.0, -1.0], [1.0, 1.0])
@@ -267,23 +274,34 @@ def test_queries_validate_once_and_cast_once_per_exit(monkeypatch):
 
     # The library functions built on the queries validate each point argument
     # once and hand it to the kernels, never back to contains or ray_boundary
-    # of the domain.  The counts above one per point come from public calls on
-    # a boundary point (active_face, support_normals), on a homothety centre,
-    # and from foot_certificate's test of y against the target.
+    # of the domain.  The counts above one per point come from the homothety
+    # centre of a metric ball and from foot_certificate's test of y against
+    # the target.  Each support query validates its boundary point once, on
+    # every kind, and so does each library function that reads the normals.
+    hits = {kind: domain.ray_boundary(domain.base_point(), domain.base_point() + [0.3, 0.4]).point
+            for kind, domain in KINDS.items()}
+    support_queries = [
+        query for kind, domain in KINDS.items() for query in (
+            (lambda d=domain, a=hits[kind]: supporting_functional(d, a), 1),
+            (lambda d=domain, a=hits[kind]: d.support_normals(a), 1),
+            (lambda d=domain, a=hits[kind]: d.is_exposed_at(a), 1))]
     public = {name: [_count_calls(monkeypatch, cls, name)
                      for cls in (HPolytope, EuclideanBall, AffineImage, IntersectionDomain)]
               for name in ("contains", "ray_boundary")}
     for query, checks in (
+            *support_queries,
+            (lambda: is_perpendicular(SQUARE, x, hits["hpolytope"], LinearForm([1.0, 0.0], -0.1)),
+             2),
             (lambda: unique_geodesic_pair(ball, x, y), 2),
-            (lambda: unique_geodesic_pair(SQUARE, x, y), 3),
+            (lambda: unique_geodesic_pair(SQUARE, x, y), 2),
             (lambda: cone_member(SQUARE, cone, [1.0, 0.2]), 2),
             (lambda: polyline_face_witness(SQUARE, polyline), 3),
             (lambda: finite_difference_check(SQUARE, x, [0.0, 0.0], y, 10.0 ** -np.arange(1, 6)),
              3),
             (lambda: nearest_on_segment(ball, x, (y, z)), 3),
             (lambda: nearest_on_segment(SQUARE, x, (y, z)), 3),
-            (lambda: nearest_on_convex(SQUARE, [-0.5, -0.2], T_IN), 2),
-            (lambda: foot_certificate(SQUARE, [-0.5, -0.2], [0.15, 0.25], T_IN), 4),
+            (lambda: nearest_on_convex(SQUARE, [-0.5, -0.2], T_IN), 1),
+            (lambda: foot_certificate(SQUARE, [-0.5, -0.2], [0.15, 0.25], T_IN), 3),
             (lambda: forward_ball(SQUARE, x, 0.5), 3),
             (lambda: backward_ball(SQUARE, x, 0.5), 4),
             (lambda: sandwich(SQUARE, x), 1),

@@ -267,6 +267,11 @@ def test_target_outside_domain_rejected(square):
         nearest_on_convex(square, np.zeros(2), HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.2, -0.5]))
 
 
+def test_target_of_another_dimension_rejected(square):
+    with pytest.raises(GeometryError, match="target set has dimension 3, expected 2"):
+        nearest_on_convex(square, np.zeros(2), HPolytope.box([-0.5] * 3, [0.5] * 3))
+
+
 def test_target_leaving_the_domain_slightly_rejected(square):
     # No vertex data: containment is decided exactly, per domain row.
     a_set = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],

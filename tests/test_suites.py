@@ -93,6 +93,17 @@ def test_suite_all_reads_the_count_keys_the_benchmark_scans(monkeypatch):
     assert {key: defaults[key] for key in scanned} == scanned
 
 
+@pytest.mark.parametrize("key", [
+    "axioms.triples", "axioms.projectivity", "axioms.separation", "convex_core.support",
+    "invariance.orthant_pairs", "monotonicity.pairs", "balls.sphere_samples"])
+def test_a_count_of_one_still_runs_its_check(key):
+    # each split of the count floors at the smallest sample its check can use
+    suite = key.split(".")[0].replace("_", "-")
+    counts = {**suite_counts(ROOT / "src", SMOKE_SUITE_SCALE), key: 1}
+    report = run_suite(suite, RunConfig(seed=0, counts=counts))
+    assert report["passed"]
+
+
 @pytest.mark.parametrize("suite, name, check, fault", [
     ("invariance", "hilbert", "hilbert_is_half_log_cross_ratio",
      lambda f: lambda *a: f(*a) * (1.0 + 1e-8)),
