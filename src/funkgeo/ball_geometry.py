@@ -178,6 +178,6 @@ def sandwich(polytope: HPolytope, x) -> SandwichConstants:
     if not polytope.is_bounded():
         raise GeometryError("sandwich constants need a bounded polytope")
     x = _check_interior(polytope, x, "x", "x must be interior to the polytope")
-    lam = float(np.min((polytope.b - polytope.A @ x) / polytope._row_norms))
+    lam = polytope._margin(x)
     Lam = float(np.max(np.linalg.norm(polytope.vertices - x, axis=1)))
     return SandwichConstants(lambda_x=lam, Lambda_x=Lam)

@@ -27,7 +27,7 @@ validated points calls directly.  Per-kind geometry lives on the domain
 classes, as one method with a base default that a kind overrides only
 where its geometry differs: the ray casts, ``homothet`` (a negative factor
 reflects; metric balls are made of these), the support kernels and the
-boundary gate.
+boundary test ``_on_boundary``.
 
 All values are immutable after construction and every operation is a pure
 function, so domains are safe to share between threads.
@@ -221,9 +221,9 @@ class ConvexDomain:
 
     # -- unchecked kernels -------------------------------------------------
 
-    def _boundary_gate(self) -> float:
-        """Largest |contains| at which a point counts as on the boundary."""
-        return tol.EPS_BD
+    def _on_boundary(self, a) -> bool:
+        """Whether finite point a counts as on the boundary: |margin| within EPS_BD."""
+        return abs(self._margin(a)) <= tol.EPS_BD
 
     def _margin(self, x) -> float:
         raise NotImplementedError
@@ -273,6 +273,10 @@ class ConvexDomain:
 class HPolytope(ConvexDomain):
     """Open polytope {x : A x < b}, optionally with a vertex description.
 
+    ``A`` and ``b`` are stored as unit rows (each row and its threshold divided
+    by the row's norm), so no answer depends on how the rows were scaled, and
+    ``contains`` is a signed distance bound, as the ball's is.
+
     When vertices are supplied they are checked for consistency: each
     vertex satisfies every constraint, touches at least one, and every
     constraint is touched by some vertex (so the two descriptions agree).
@@ -288,9 +292,8 @@ class HPolytope(ConvexDomain):
         norms = np.linalg.norm(A, axis=1)
         if np.any(norms <= 0.0):
             raise DomainSpecError("constraint rows must be nontrivial linear forms")
-        self.A = _readonly(A)
-        self.b = _readonly(b)
-        self._row_norms = _readonly(norms)
+        self.A = _readonly(A / norms[:, None])
+        self.b = _readonly(b / norms)
         self.dim = A.shape[1]
 
         self.vertices = None
@@ -312,7 +315,6 @@ class HPolytope(ConvexDomain):
         scale = max(1.0, float(np.max(np.abs(V))))
         eps = 1e-7 * scale
         act = V @ self.A.T - self.b  # (m, k)
-        act = act / self._row_norms
         if np.any(act > eps):
             i, j = np.unravel_index(np.argmax(act), act.shape)
             raise DomainSpecError(
@@ -338,16 +340,15 @@ class HPolytope(ConvexDomain):
 
     def _exit(self, x, y, d) -> float:
         deriv = self.A @ d
-        # Normalized derivative decides parallel-vs-hit; avoids huge finite t.
-        scaled = deriv / (self._row_norms * math.sqrt(d @ d))
-        return self._first_exit(x, deriv, scaled > tol.EPS_DIR)
+        # The derivative per unit length decides parallel-vs-hit; avoids huge finite t.
+        return self._first_exit(x, deriv, deriv > tol.EPS_DIR * math.sqrt(d @ d))
 
     def _line(self, x, y, d) -> tuple[float, float]:
         # The reverse ray's derivative is -deriv, bitwise A @ (-d).
         deriv = self.A @ d
-        scaled = deriv / (self._row_norms * math.sqrt(d @ d))
-        return (self._first_exit(x, deriv, scaled > tol.EPS_DIR),
-                self._first_exit(y, -deriv, scaled < -tol.EPS_DIR))
+        gate = tol.EPS_DIR * math.sqrt(d @ d)
+        return (self._first_exit(x, deriv, deriv > gate),
+                self._first_exit(y, -deriv, deriv < -gate))
 
     def _first_exit(self, x, deriv, candidates) -> float:
         if not candidates.any():
@@ -360,7 +361,7 @@ class HPolytope(ConvexDomain):
         D = Y - X
         deriv = D @ self.A.T
         lengths = np.maximum(_row_lengths(D), tol.EPS_PT)
-        hits = deriv / (self._row_norms * lengths[:, None]) > tol.EPS_DIR
+        hits = deriv > tol.EPS_DIR * lengths[:, None]
         t = _row_min(np.where(hits, slack / np.where(hits, deriv, 1.0), np.inf))
         t = np.where(_row_min(self.b - Y @ self.A.T) > 0.0, t, np.minimum(t, 1.0))
         return np.where(_row_min(slack) > 0.0, t, np.nan)
@@ -379,10 +380,6 @@ class HPolytope(ConvexDomain):
             verts = center + factor * (self.vertices - center)
         s = np.sign(factor)  # a reflection flips the inequalities
         return HPolytope(s * self.A, s * b, vertices=verts, witness=center)
-
-    def _boundary_gate(self) -> float:
-        # Margins are unnormalized slacks; widen by the largest row norm.
-        return tol.EPS_BD * float(np.max(self._row_norms))
 
     def base_point(self) -> Vector:
         if self._base is None:
@@ -413,14 +410,11 @@ class HPolytope(ConvexDomain):
     def _face_rows(self, a) -> tuple[int, list[int]]:
         """The row nearest to boundary point a (exact ties to the lowest
         index) and the rows active at a, in index order."""
-        slack = self.b - self.A @ a
-        if abs(slack.min()) > self._boundary_gate():  # the gate of ``_touching``
-            raise GeometryError("point is not on the domain boundary")
-        dist = slack / self._row_norms
+        dist = self.b - self.A @ a
         j = int(np.argmin(dist))
-        active = np.abs(dist) <= tol.EPS_FACE
-        active[j] = True  # rows of unequal norm can leave it outside EPS_FACE
-        return j, [int(i) for i in np.flatnonzero(active)]
+        if abs(dist[j]) > tol.EPS_BD:  # the test of ``_on_boundary``
+            raise GeometryError("point is not on the domain boundary")
+        return j, [int(i) for i in np.flatnonzero(np.abs(dist) <= tol.EPS_FACE)]
 
     def recession_contains(self, v) -> bool:
         """True iff direction v is a recession direction of the closure."""
@@ -428,7 +422,7 @@ class HPolytope(ConvexDomain):
         nv = np.linalg.norm(v)
         if nv <= tol.EPS_PT:
             return True
-        return bool(np.all(self.A @ v <= tol.EPS_DIR * self._row_norms * nv))
+        return bool(np.all(self.A @ v <= tol.EPS_DIR * nv))
 
     def shifted(self, b_new) -> "HPolytope":
         """Same normals with new thresholds (vertex data dropped)."""
@@ -528,11 +522,10 @@ class EuclideanBall(ConvexDomain):
         return np.where(self.radius - np.sqrt(ww) > 0.0, t, np.nan)
 
     def _normals(self, a) -> list[Vector]:
-        w = a - self.center
-        r = np.linalg.norm(w)
-        if abs(r - self.radius) > tol.EPS_BD:
+        if not self._on_boundary(a):
             raise GeometryError("point is not on the ball boundary")
-        return [w / r]
+        w = a - self.center
+        return [w / math.sqrt(w @ w)]
 
     def _exposed(self, a) -> bool:
         return True
@@ -647,8 +640,8 @@ class AffineImage(ConvexDomain):
     def _exposed(self, a) -> bool:
         return self.inner._exposed(self.map.invert(a))
 
-    def _boundary_gate(self) -> float:
-        return self.map.sigma_min * self.inner._boundary_gate()  # as ``_margin`` scales
+    def _on_boundary(self, a) -> bool:
+        return self.inner._on_boundary(self.map.invert(a))
 
     def base_point(self) -> Vector:
         return self.map(self.inner.base_point())
@@ -691,9 +684,12 @@ class IntersectionDomain(ConvexDomain):
     def _exits(self, X, Y) -> np.ndarray:
         return np.min([p._exits(X, Y) for p in self.parts], axis=0)
 
+    def _on_boundary(self, a) -> bool:
+        return any(p._on_boundary(a) for p in self.parts)
+
     def _touching(self, a) -> list[ConvexDomain]:
         """The parts whose boundary passes through a, in part order."""
-        parts = [p for p in self.parts if abs(p._margin(a)) <= p._boundary_gate()]
+        parts = [p for p in self.parts if p._on_boundary(a)]
         if not parts:
             raise GeometryError("point is not on the intersection boundary")
         return parts

@@ -141,7 +141,7 @@ def cone_member(polytope: HPolytope, cone: FaceCone, v) -> bool:
     if hit.at_infinity:
         d = hit.direction / np.linalg.norm(hit.direction)
         idx = sorted(cone.face)
-        on_face = np.all(np.abs(polytope.A[idx] @ d) <= tol.EPS_FACE * polytope._row_norms[idx])
+        on_face = np.all(np.abs(polytope.A[idx] @ d) <= tol.EPS_FACE)
         return bool(on_face and polytope.recession_contains(d))
     return cone.face <= frozenset(polytope._face_rows(hit.point)[1])
 

@@ -119,7 +119,7 @@ def random_polytope(rng: np.random.Generator, dim: int, extra: int = 3) -> HPoly
         th += [1.0 + rng.uniform(0.0, 0.5), 1.0 + rng.uniform(0.0, 0.5)]
     for _ in range(extra):
         a = rng.standard_normal(dim)
-        a /= np.linalg.norm(a)
+        a /= np.linalg.norm(a)  # th below is drawn as the cut's distance from 0
         rows.append(a)
         th.append(rng.uniform(0.7, 1.5))
     return HPolytope(np.array(rows), np.array(th), witness=np.zeros(dim))

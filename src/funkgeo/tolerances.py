@@ -7,11 +7,13 @@ each check in ``suites.py``.
 """
 
 # Boundary membership: |signed margin| below this counts as "on the boundary".
+# Margins are Euclidean lengths on every primitive kind (a polytope stores unit
+# rows), so one value serves every kind.
 EPS_BD = 1e-9
 
-# Ray-direction classification: a constraint whose normalized derivative along
-# the ray is below this is treated as parallel (hit at infinity), never as a
-# huge finite parameter.  Keeps the metric continuous near 0.
+# Ray-direction classification: a constraint (a unit row) whose derivative
+# along the unit ray direction is below this is treated as parallel (hit at
+# infinity), never as a huge finite parameter.  Keeps the metric continuous near 0.
 EPS_DIR = 1e-12
 
 # Face activation: a constraint within this distance of equality is active.

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,12 @@ from funkgeo import (
     GeometryError,
     HPolytope,
     IntersectionDomain,
+    funk,
     supporting_functional,
     to_projective,
+    unique_geodesic_pair,
 )
+from funkgeo.suites import random_polygon, random_polytope
 
 from conftest import bisect_boundary
 
@@ -138,18 +142,18 @@ def test_supporting_functional_does_not_depend_on_scale(scale):
 
 
 def test_intersection_support_at_a_part_within_its_gate():
-    # the polytope's slack 5e-7 is within its gate, 1e-9 times its largest
-    # row norm, though its distance 5e-7 is not within 1e-9: both the part
-    # selection and the part's own face test count it as touching
+    # the polytope's rows are stored as unit rows, so its margin at (0, 1) is
+    # its distance 5e-7, outside EPS_BD: only the ball touches there
     slab = HPolytope([[1000.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                      [1000.0, 1.0, 1.0 + 5e-7, 1.0])
     both = IntersectionDomain([EuclideanBall([0.0, 0.0], 1.0), slab])
     h = supporting_functional(both, [0.0, 1.0])
     assert h.coeffs == pytest.approx([0.0, 1.0]) and h.offset == 0.0
-    assert np.array_equal(both.support_normals([0.0, 1.0]), [[0.0, 1.0], [0.0, 1.0]])
-    assert slab.active_face([0.0, 1.0]) == {2}
-    # an affine image's gate scales as its margin does, so the part
-    # selection and the inner face test agree on either side of the gate
+    assert np.array_equal(both.support_normals([0.0, 1.0]), [[0.0, 1.0]])
+    with pytest.raises(GeometryError, match="^point is not on the domain boundary$"):
+        slab.active_face([0.0, 1.0])
+    # an affine image's boundary test is its inner domain's at the pulled-back
+    # point, so the part selection and the inner face test agree on either side
     small = AffineImage(HPolytope.box([-1.0, -1.0], [1.0, 1.0]),
                         AffineMap(1e-3 * np.eye(2), np.zeros(2)))
     both = IntersectionDomain([small, EuclideanBall([0.0, 0.0], 5.0)])
@@ -157,6 +161,110 @@ def test_intersection_support_at_a_part_within_its_gate():
     for query in (both.support_normals, lambda a: supporting_functional(both, a)):
         with pytest.raises(GeometryError, match="^point is not on the intersection boundary$"):
             query([1e-3 * (1.0 - 5e-7), 0.0])
+
+
+def _answer(call):
+    """A call's value, or the class and message of the GeometryError it raises."""
+    try:
+        return call()
+    except GeometryError as err:
+        return type(err), str(err)
+
+
+def _normals_answer(domain, a):
+    answer = _answer(lambda: domain.support_normals(a))
+    return answer if isinstance(answer, tuple) else [tuple(c) for c in answer]
+
+
+def test_nested_intersection_answers_as_it_does_alone():
+    slab = HPolytope([[1000.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                     [1000.0, 1.0, 1.0 + 5e-7, 1.0])
+    big = AffineImage(HPolytope.box([-1.0, -1.0], [1.0, 1.0]),
+                      AffineMap(1e3 * np.eye(2), np.zeros(2)))
+    cases = [  # (inner intersection, radius of the far ball, points on either side of EPS_BD)
+        (IntersectionDomain([slab, EuclideanBall([0.0, 0.0], 5.0)]), 6.0,
+         [[0.0, 1.0], [0.0, 1.0 + 5e-7 - 5e-10]]),
+        (IntersectionDomain([big, EuclideanBall([0.0, 0.0], 5e3)]), 6e3,
+         [[1e3 * (1.0 - 5e-10), 0.0], [1e3 * (1.0 - 5e-7), 0.0]]),
+    ]
+    for inner, radius, points in cases:
+        nested = IntersectionDomain([inner, EuclideanBall([0.0, 0.0], radius)])
+        for a in points:
+            assert _normals_answer(nested, a) == _normals_answer(inner, a)
+
+
+def test_unit_rows_are_stored_and_scale_does_not_leak():
+    A, b = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(4)
+    assert HPolytope(1e-11 * A, 1e-11 * b).is_exposed_at([1.0, 1.0])
+    tiny = HPolytope(1e-13 * A, 1e-13 * b, witness=[0.0, 0.0])
+    assert np.array_equal(tiny.A, A) and np.array_equal(tiny.b, b)
+    assert tiny.contains([0.5, 0.0]) == 0.5  # a distance, as a ball's margin is
+
+
+def _vertices(poly):
+    """The polytope's vertex data, or its vertices found row subset by row subset."""
+    if poly.vertices is not None:
+        return poly.vertices
+    found = []
+    for rows in itertools.combinations(range(poly.b.size), poly.dim):
+        rows = list(rows)
+        if abs(np.linalg.det(poly.A[rows])) > 1e-9:
+            v = np.linalg.solve(poly.A[rows], poly.b[rows])
+            if poly.contains(v) > -1e-9:
+                found.append(v)
+    return np.array(found)
+
+
+ROW_SCALE_POLYTOPES = {
+    "box": lambda rng: HPolytope.box(-rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)),
+    "polygon": random_polygon,
+    "polytope": lambda rng: random_polytope(rng, int(rng.integers(2, 4))),
+}
+
+
+def _row_scale_answers(kind, seed, exponents, rays):
+    """Per ray, the answers of the polytope drawn from ``seed`` and of the same
+    polytope with each row and threshold times 10^k, k from ``exponents``
+    (cycled over the rows): a pair of dicts.  Half of the rays aim at a vertex."""
+    rng = np.random.default_rng(seed)
+    unit = ROW_SCALE_POLYTOPES[kind](rng)
+    s = 10.0 ** np.resize(exponents, unit.b.size)
+    scaled = HPolytope(unit.A * s[:, None], unit.b * s, vertices=unit.vertices,
+                       witness=unit.base_point())
+    V, p0 = _vertices(unit), unit.base_point()
+    for i in range(rays):
+        x = p0 + rng.uniform(0.0, 0.9) * (V[rng.integers(len(V))] - p0)
+        if i % 2 == 0:
+            d = V[rng.integers(len(V))] - x
+        else:
+            d = rng.standard_normal(unit.dim)
+        z = x + 0.5 * unit.ray_boundary(x, x + d).t * d
+        a = unit.ray_boundary(x, z).point
+        yield [{
+            "t": _answer(lambda: poly.ray_boundary(x, z).t),
+            "funk": _answer(lambda: funk(poly, x, z)),
+            "exposed": _answer(lambda: poly.is_exposed_at(a)),
+            "face": _answer(lambda: poly.active_face(a)),
+            "normals": _normals_answer(poly, a),
+            "unique": _answer(lambda: unique_geodesic_pair(poly, x, z)),
+        } for poly in (unit, scaled)]
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(ROW_SCALE_POLYTOPES)), seed=st.integers(0, 2**32 - 1),
+       exponents=st.lists(st.integers(-12, 12), min_size=9, max_size=9))
+def test_answers_do_not_depend_on_row_scale(kind, seed, exponents):
+    for unit, scaled in _row_scale_answers(kind, seed, exponents, rays=8):
+        t = unit.pop("t")
+        assert abs(scaled.pop("t") - t) <= 32 * EPS * t
+        assert abs(scaled.pop("funk") - unit.pop("funk")) <= 32 * EPS / (t - 1.0)
+        # a unit row made from a scaled row can round to another last bit
+        normals = unit.pop("normals")
+        assert np.allclose(scaled.pop("normals"), normals, rtol=0.0, atol=4 * EPS)
+        assert scaled == unit
 
 
 def test_support_normals_and_exposedness(square, ball):
