@@ -89,6 +89,15 @@ def _row_min(S: np.ndarray) -> np.ndarray:
     return functools.reduce(np.minimum, S.T)
 
 
+def _columns(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    # P @ A.T into a column-major array, so that _row_min reduces contiguous
+    # columns; faster to build, and the same bits, as BLAS rounds each entry
+    # alike in both layouts.  A single row takes numpy's vector-matrix path,
+    # whose BLAS call rounds as P @ A.T only with A.T's own layout.
+    AT = A.T if P.shape[0] == 1 else np.ascontiguousarray(A.T)
+    return np.matmul(P, AT, out=np.empty((P.shape[0], A.shape[0]), order="F"))
+
+
 def _row_lengths(D: np.ndarray) -> np.ndarray:
     # Column by column, as _row_min: the sums np.linalg.norm(D, axis=1) makes
     # for fewer than 8 columns, without its slow loop over short rows.
@@ -289,6 +298,10 @@ class HPolytope(ConvexDomain):
             raise DomainSpecError("constraint matrix and thresholds disagree in shape")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise DomainSpecError("constraints contain non-finite entries")
+        # Divide each row and its threshold by the power of two of the row's largest
+        # entry first (exact), so the squares in the norm neither overflow nor underflow.
+        exponents = np.frexp(np.abs(A).max(axis=1, initial=0.0))[1]
+        A, b = np.ldexp(A, -exponents[:, None]), np.ldexp(b, -exponents)
         norms = np.linalg.norm(A, axis=1)
         if np.any(norms <= 0.0):
             raise DomainSpecError("constraint rows must be nontrivial linear forms")
@@ -336,7 +349,7 @@ class HPolytope(ConvexDomain):
         return float((self.b - self.A @ x).min())
 
     def _margins(self, X) -> np.ndarray:
-        return _row_min(self.b - X @ self.A.T)
+        return _row_min(self.b - _columns(X, self.A))
 
     def _exit(self, x, y, d) -> float:
         deriv = self.A @ d
@@ -357,13 +370,17 @@ class HPolytope(ConvexDomain):
         return float((slack[candidates] / deriv[candidates]).min())
 
     def _exits(self, X, Y) -> np.ndarray:
-        slack = self.b - X @ self.A.T  # (m, k)
+        slack = self.b - _columns(X, self.A)  # (m, k)
         D = Y - X
-        deriv = D @ self.A.T
+        deriv = _columns(D, self.A)
         lengths = np.maximum(_row_lengths(D), tol.EPS_PT)
         hits = deriv > tol.EPS_DIR * lengths[:, None]
-        t = _row_min(np.where(hits, slack / np.where(hits, deriv, 1.0), np.inf))
-        t = np.where(_row_min(self.b - Y @ self.A.T) > 0.0, t, np.minimum(t, 1.0))
+        # A face not hit divides its slack by +0 (np.abs turns -0 into +0) and
+        # gives +inf; 0/0 or a negative slack only on a row whose origin is
+        # not interior, and that row is nan below anyway.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = _row_min(slack / np.abs(deriv * hits))
+        t = np.where(_row_min(self.b - _columns(Y, self.A)) > 0.0, t, np.minimum(t, 1.0))
         return np.where(_row_min(slack) > 0.0, t, np.nan)
 
     def _normals(self, a) -> list[Vector]:

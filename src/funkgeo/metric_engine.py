@@ -247,9 +247,7 @@ def funk_batch(domain: ConvexDomain, X, Y) -> np.ndarray:
 
 
 def _batch_from_parameters(t: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    # Every t > 1 here, so t - 1 is at least the 2.2e-16 gap after 1.0.
-    finite = np.isfinite(t) & (lengths > tol.EPS_PT)
-    out = np.zeros_like(t)
-    out[finite] = np.log1p(1.0 / (t[finite] - 1.0))
-    out[out < tol.F_CLAMP] = 0.0
+    # Every t > 1 here, so t - 1 is at least the 2.2e-16 gap after 1.0; t = inf gives 0.
+    out = np.log1p(1.0 / (t - 1.0))
+    out[(out < tol.F_CLAMP) | (lengths <= tol.EPS_PT)] = 0.0
     return out

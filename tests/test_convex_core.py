@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,16 @@ def test_unit_rows_are_stored_and_scale_does_not_leak():
     tiny = HPolytope(1e-13 * A, 1e-13 * b, witness=[0.0, 0.0])
     assert np.array_equal(tiny.A, A) and np.array_equal(tiny.b, b)
     assert tiny.contains([0.5, 0.0]) == 0.5  # a distance, as a ball's margin is
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_rows_far_outside_the_range_of_their_squares_become_unit_rows(scale):
+    A, b = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        square = HPolytope(scale * A, scale * b, witness=[0.0, 0.0])
+    assert np.array_equal(square.A, A) and np.array_equal(square.b, b)
+    assert funk(square, [0.0, 0.0], [0.5, 0.0]) == math.log(2.0)
 
 
 def _vertices(poly):
