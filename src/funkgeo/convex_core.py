@@ -79,6 +79,25 @@ def _check_interior(domain: ConvexDomain, p, name: str = "point", message: str |
     return p
 
 
+def _query(kernel, domain: ConvexDomain, x, y, tested: bool | None, names="xy", message=None):
+    """``kernel(domain, x, y)`` of converted arguments; its casts test the ray origin x, and
+    it raises, or answers nan, if x is not interior.  y is tested by ``_margin`` if
+    ``tested``, by its cast if False, not at all if None (a target or a vector).  On any
+    fault, the kernel of ``_check_interior``'s points: the first argument at fault raises."""
+    try:
+        x, y = as_point(x, domain.dim, names[0]), as_point(y, domain.dim, names[1])
+        if not tested or domain._margin(y) > 0.0:
+            value = kernel(domain, x, y)
+            if value == value:  # not nan (a float kernel's answer for x not interior)
+                return value
+    except GeometryError:
+        pass
+    x = _check_interior(domain, x, names[0], message)
+    if tested is not None:
+        y = _check_interior(domain, y, names[1], message)
+    return kernel(domain, x, as_point(y, domain.dim, names[1]))
+
+
 def _rowdot(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # Row by row, rounded as the scalar p @ q is (np.einsum adds in another order).
     return np.matmul(P[:, None, :], Q[:, :, None])[:, 0, 0]
@@ -173,13 +192,16 @@ class ConvexDomain:
     """Base class for proper convex domains.
 
     Each kind implements the unchecked kernels below, scalar and row ones
-    side by side; they trust their inputs, and the public functions
-    validate each input once.  The scalar ray kernel ``_exit`` gives only
-    the exit parameter, which is all a distance needs; ``_line`` gives the
+    side by side; they trust their inputs to be finite, and the public
+    functions convert each input once.  The scalar ray kernel ``_exit`` gives
+    only the exit parameter, which is all a distance needs; ``_line`` gives the
     exits of both rays along one line, and ``_hit`` builds a :class:`Hit`
-    with its boundary point for the callers that need the point.  Each
-    kind also binds ``contains`` and ``ray_boundary`` in its own body,
-    where perfbench's tracer wraps them.
+    with its boundary point for the callers that need the point.  Like
+    ``_exits``, they test each ray origin: ``nan`` where ``_margin`` of it is
+    <= 0, decided by ``_margin``'s expression on values the cast already has,
+    so no query tests a ray origin twice (see ``_query``).  Each kind also
+    binds ``contains`` and ``ray_boundary`` in its own body, where
+    perfbench's tracer wraps them.
     """
 
     dim: int
@@ -193,8 +215,7 @@ class ConvexDomain:
 
     def ray_boundary(self, x, y) -> Hit:
         """Exit of the ray from interior point x through y (x != y)."""
-        x = _check_interior(self, x, "ray origin")
-        return self._cast(x, as_point(y, self.dim, "ray target"))
+        return _query(ConvexDomain._cast, self, x, y, None, ("ray origin", "ray target"))
 
     def support_normals(self, a) -> list[Vector]:
         """Outward normals of the support hyperplanes at a boundary point a."""
@@ -238,11 +259,13 @@ class ConvexDomain:
         raise NotImplementedError
 
     def _exit(self, x, y, d) -> float:
-        """Exit parameter of the ray from x along d = y - x; ``inf`` if it never leaves."""
+        """Exit parameter of the ray from x along d = y - x; ``inf`` if it never
+        leaves, ``nan`` if x is not interior."""
         raise NotImplementedError
 
     def _line(self, x, y, d) -> tuple[float, float]:
-        """Exit parameters of the rays x -> y and y -> x along one line."""
+        """Exit parameters of the rays x -> y and y -> x along one line, each
+        ``nan`` if its origin is not interior."""
         raise NotImplementedError
 
     def _hit(self, x, y, d) -> Hit:
@@ -252,11 +275,14 @@ class ConvexDomain:
         return Hit.finite(x + t * d, t)
 
     def _cast(self, x, y) -> Hit:
-        """``ray_boundary`` of an interior point x and a finite point y."""
+        """``ray_boundary`` of finite points x and y; raises if x is not interior."""
         d = y - x
         if math.sqrt(d @ d) <= tol.EPS_PT:
             raise GeometryError("ray origin and target coincide")
-        return self._hit(x, y, d)
+        hit = self._hit(x, y, d)
+        if hit.t != hit.t:
+            raise GeometryError("ray origin is not interior to the domain")
+        return hit
 
     def _normals(self, a) -> list[Vector]:
         """``support_normals`` of a finite point a; raises if a is off the boundary."""
@@ -364,9 +390,11 @@ class HPolytope(ConvexDomain):
                 self._first_exit(y, -deriv, deriv < -gate))
 
     def _first_exit(self, x, deriv, candidates) -> float:
+        slack = self.b - self.A @ x
+        if slack.min() <= 0.0:  # the test of _margin: x is not interior
+            return math.nan
         if not candidates.any():
             return math.inf
-        slack = self.b - self.A @ x
         return float((slack[candidates] / deriv[candidates]).min())
 
     def _exits(self, X, Y) -> np.ndarray:
@@ -519,7 +547,10 @@ class EuclideanBall(ConvexDomain):
         return self._root(alpha, float(d @ wx), wx), self._root(alpha, -float(d @ wy), wy)
 
     def _root(self, alpha, beta, w) -> float:
-        gamma = float(w @ w) - self.radius ** 2  # < 0: ray origin interior
+        ww = float(w @ w)
+        if self.radius - math.sqrt(ww) <= 0.0:  # the test of _margin: not interior
+            return math.nan
+        gamma = ww - self.radius ** 2
         disc = beta * beta - alpha * gamma
         root = np.sqrt(disc)
         # Stable positive quadratic root (avoid cancellation when beta > 0).
@@ -610,8 +641,9 @@ class AffineImage(ConvexDomain):
 
     Queries pull the inputs back, ask the inner domain, and push the
     answers forward.  Margins are the inner margins scaled by the map's
-    smallest singular value, which keeps the sign exact and reproduces
-    Euclidean margins for similarity maps.
+    smallest singular value, which reproduces Euclidean margins for
+    similarity maps; where the product underflows to 0 the inner margin is
+    kept, so the sign stays exact, as the ray kernels' verdicts are.
     """
 
     def __init__(self, inner: ConvexDomain, amap: AffineMap):
@@ -624,10 +656,13 @@ class AffineImage(ConvexDomain):
     contains, ray_boundary = ConvexDomain.contains, ConvexDomain.ray_boundary
 
     def _margin(self, x) -> float:
-        return self.map.sigma_min * self.inner._margin(self.map.invert(x))
+        margin = self.inner._margin(self.map.invert(x))
+        return self.map.sigma_min * margin or margin
 
     def _margins(self, X) -> np.ndarray:
-        return self.map.sigma_min * self.inner._margins(self.map.invert(X))
+        margins = self.inner._margins(self.map.invert(X))
+        scaled = self.map.sigma_min * margins
+        return np.where(scaled == 0.0, margins, scaled)
 
     def _hit(self, x, y, d) -> Hit:
         x, y = self.map.invert(x), self.map.invert(y)
@@ -691,12 +726,14 @@ class IntersectionDomain(ConvexDomain):
     def _margins(self, X) -> np.ndarray:
         return np.min([p._margins(X) for p in self.parts], axis=0)
 
+    # Exits are > 0, inf or nan: the sum is nan iff one is (min would depend on the order).
     def _exit(self, x, y, d) -> float:
-        return min(p._exit(x, y, d) for p in self.parts)
+        ts = [p._exit(x, y, d) for p in self.parts]
+        return math.nan if math.isnan(sum(ts)) else min(ts)
 
     def _line(self, x, y, d) -> tuple[float, float]:
-        forward, backward = zip(*(p._line(x, y, d) for p in self.parts))
-        return min(forward), min(backward)
+        return tuple(math.nan if math.isnan(sum(ts)) else min(ts)
+                     for ts in zip(*(p._line(x, y, d) for p in self.parts)))
 
     def _exits(self, X, Y) -> np.ndarray:
         return np.min([p._exits(X, Y) for p in self.parts], axis=0)

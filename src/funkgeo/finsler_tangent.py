@@ -15,20 +15,20 @@ import math
 import numpy as np
 
 from . import tolerances as tol
-from .convex_core import ConvexDomain, GeometryError, HPolytope, _check_interior, as_point
+from .convex_core import ConvexDomain, GeometryError, HPolytope, _check_interior, _query, as_point
 from .metric_engine import _funk
 
 
 def tangent_norm(domain: ConvexDomain, p, v) -> float:
     """Gauge of the translated domain at v (0 for the zero vector)."""
-    p = _check_interior(domain, p, "base point", "base point must be interior to the domain")
-    return _gauge(domain, p, as_point(v, domain.dim, "vector"))
+    return _query(_gauge, domain, p, v, None, ("base point", "vector"),
+                  "base point must be interior to the domain")
 
 
 def _gauge(domain: ConvexDomain, p, v) -> float:
-    """Tangent norm at a validated interior point p of a validated vector v."""
-    if math.sqrt(v @ v) <= tol.EPS_PT:
-        return 0.0
+    """Tangent norm at a finite point p of a finite vector v; nan if p is not interior."""
+    if math.sqrt(v @ v) <= tol.EPS_PT:  # no cast tests p
+        return 0.0 if domain._margin(p) > 0.0 else math.nan
     y = p + v
     t = domain._exit(p, y, y - p)
     return 0.0 if t == math.inf else 1.0 / t

@@ -32,10 +32,10 @@ from .convex_core import (
     GeometryError,
     HPolytope,
     _check_interior,
+    _query,
     _row_lengths,
     _rowdot,
     as_point,
-    to_projective,
 )
 from . import metric_engine
 from .metric_engine import _batch_from_parameters, _funk, _hilbert
@@ -52,9 +52,11 @@ class TriangleReport:
 
 def triangle_report(domain: ConvexDomain, x, y, z) -> TriangleReport:
     """Defect F(x,y) + F(y,z) - F(x,z) and alignment of the three hits."""
-    x = _check_interior(domain, x, "x")
-    y = _check_interior(domain, y, "y")
-    z = _check_interior(domain, z, "z")
+    return _query(lambda domain, x, y: _triangle_report(domain, x, y, z), domain, x, y, False)
+
+
+def _triangle_report(domain: ConvexDomain, x, y, z) -> TriangleReport:
+    z = _check_interior(domain, z, "z")  # x and y are tested by their casts, z is no origin
     for p, q, name in ((x, y, "x, y"), (y, z, "y, z"), (x, z, "x, z")):
         d = q - p
         if math.sqrt(d @ d) <= tol.EPS_PT:
@@ -63,9 +65,11 @@ def triangle_report(domain: ConvexDomain, x, y, z) -> TriangleReport:
     # Through the module, so the one exit-to-distance conversion is used.
     fxy, fyz, fxz = (metric_engine._from_parameter(h.t) for h in hits)
     defect = fxy + fyz - fxz
-    rows = np.vstack([to_projective(h) for h in hits])
-    return TriangleReport(defect=float(defect),
-                          hits=(rows[0], rows[1], rows[2]),
+    rows = np.empty((3, domain.dim + 1))
+    for row, hit in zip(rows, hits):  # to_projective of each hit, in place
+        row[:-1], row[-1] = (hit.direction, 0.0) if hit.at_infinity else (hit.point, 1.0)
+        row /= math.sqrt(row @ row)
+    return TriangleReport(defect=float(defect), hits=tuple(rows),
                           aligned=bool(_aligned(np.linalg.svd(rows, compute_uv=False))))
 
 
@@ -147,13 +151,25 @@ def cone_member(polytope: HPolytope, cone: FaceCone, v) -> bool:
 
 
 def _verify_polyline(metric, domain: ConvexDomain, polyline) -> tuple[bool, float]:
-    """Additivity test of ``metric`` (a kernel on validated points) along a polyline.
+    """Additivity test of ``metric`` (a kernel that raises where a ray origin is not
+    interior) along a polyline.
 
     defect = sum of consecutive distances minus the endpoint distance;
     geodesic iff the defect is at most ``tolerances.EPS_GEODESIC``
     (triangle-inequality chain).
     """
-    pts = [_check_interior(domain, p, f"polyline[{i}]") for i, p in enumerate(polyline)]
+    polyline = list(polyline)
+    try:  # the casts test the ray origins, as in _query; a Funk polyline's last point is none
+        pts = [as_point(p, domain.dim, f"polyline[{i}]") for i, p in enumerate(polyline)]
+        if len(pts) > 1 and (metric is _hilbert or domain._margin(pts[-1]) > 0.0):
+            return _additivity(metric, domain, pts)
+    except GeometryError:
+        pass
+    return _additivity(metric, domain, [_check_interior(domain, p, f"polyline[{i}]")
+                                        for i, p in enumerate(polyline)])
+
+
+def _additivity(metric, domain: ConvexDomain, pts) -> tuple[bool, float]:
     if len(pts) < 2:
         raise GeometryError("a polyline needs at least two points")
     total = sum(metric(domain, pts[i], pts[i + 1]) for i in range(len(pts) - 1))
@@ -203,12 +219,14 @@ def unique_geodesic_pair(domain: ConvexDomain, x, z) -> bool:
     point: always in a ball, and at a vertex of a polytope.  Undefined
     (raises) when the hit is at infinity.
     """
-    x = _check_interior(domain, x, "x", "both points must be interior")
-    z = _check_interior(domain, z, "z", "both points must be interior")
+    return _query(_unique_geodesic, domain, x, z, True, "xz", "both points must be interior")
+
+
+def _unique_geodesic(domain: ConvexDomain, x, z) -> bool:
     d = z - x
     if math.sqrt(d @ d) <= tol.EPS_PT:
         raise GeometryError("unique-geodesy needs two distinct points")
-    hit = domain._hit(x, z, d)
+    hit = domain._cast(x, z)  # raises if x is not interior
     if hit.at_infinity:
         raise GeometryError("unique-geodesy predicate is undefined for hits at infinity")
     return domain._exposed(hit.point)

@@ -27,12 +27,14 @@ import weakref
 import numpy as np
 
 from . import tolerances as tol
-from .convex_core import (ConvexDomain, GeometryError, HPolytope, _check_interior, _row_lengths,
-                          _rowdot, as_point)
+from .convex_core import (ConvexDomain, GeometryError, HPolytope, _check_interior, _query,
+                          _row_lengths, _rowdot, as_point)
 
 
 def _from_parameter(t: float) -> float:
-    if not math.isfinite(t):
+    if t != t:  # the ray kernels' answer for an origin that is not interior
+        raise GeometryError("ray origin is not interior to the domain")
+    if t == math.inf:
         return 0.0
     if t - 1.0 < 1e-16:
         # slack ratio beyond 1e16: the target is on the boundary at double
@@ -43,32 +45,31 @@ def _from_parameter(t: float) -> float:
 
 
 def _funk(domain: ConvexDomain, x, y) -> float:
-    """Funk distance of two validated interior points."""
+    """Funk distance from a finite x to an interior y; raises if x is not interior."""
     d = y - x
-    if math.sqrt(d @ d) <= tol.EPS_PT:
-        return 0.0
+    if math.sqrt(d @ d) <= tol.EPS_PT:  # no cast tests x
+        return _from_parameter(math.inf if domain._margin(x) > 0.0 else math.nan)
     return _from_parameter(domain._exit(x, y, d))
 
 
 def _both_ways(domain: ConvexDomain, x, y) -> tuple[float, float]:
-    """F(x, y) and F(y, x) of two validated interior points, from one line cast."""
+    """F(x, y) and F(y, x) from one line cast; raises if x or y is not interior."""
     d = y - x
     if math.sqrt(d @ d) <= tol.EPS_PT:
-        return 0.0, 0.0
+        return _funk(domain, x, y), _funk(domain, y, x)
     t_fwd, t_back = domain._line(x, y, d)
     return _from_parameter(t_fwd), _from_parameter(t_back)
 
 
 def _hilbert(domain: ConvexDomain, x, y) -> float:
-    """Hilbert distance of two validated interior points."""
+    """Hilbert distance of two finite points; raises if one is not interior."""
     fxy, fyx = _both_ways(domain, x, y)
     return 0.5 * (fxy + fyx)
 
 
 def funk(domain: ConvexDomain, x, y) -> float:
     """Funk distance from x to y (zero when the ray x->y never exits)."""
-    x = _check_interior(domain, x, "x")
-    return _funk(domain, x, _check_interior(domain, y, "y"))
+    return _query(_funk, domain, x, y, tested=True)
 
 
 def reverse_funk(domain: ConvexDomain, x, y) -> float:
@@ -82,14 +83,12 @@ def hilbert(domain: ConvexDomain, x, y) -> float:
     Equals half the logarithm of the cross ratio of (b, x, y, a) where a
     and b are the two exits of the line through x and y.
     """
-    x = _check_interior(domain, x, "x")
-    return _hilbert(domain, x, _check_interior(domain, y, "y"))
+    return _query(_hilbert, domain, x, y, tested=False)
 
 
 def max_symmetrized(domain: ConvexDomain, x, y) -> float:
     """Max-symmetrization of the Funk distance."""
-    x = _check_interior(domain, x, "x")
-    return max(_both_ways(domain, x, _check_interior(domain, y, "y")))
+    return max(_query(_both_ways, domain, x, y, tested=False))
 
 
 # Containment of omega in the englobing domain is validated by sampling the
@@ -126,15 +125,15 @@ def relative_funk(omega: ConvexDomain, outer: ConvexDomain | None, x, y) -> floa
         raise GeometryError("domain and englobing domain dimensions differ")
     if outer is not omega:
         _validate_containment(omega, outer)
-    x = _check_interior(domain=omega, p=x, name="x")
-    y = _check_interior(domain=omega, p=y, name="y")
-    d = y - x
-    if math.sqrt(d @ d) <= tol.EPS_PT:
-        return 0.0
-    if outer._margin(y) <= 0.0:  # y is the origin of the reverse ray
-        raise GeometryError("ray origin is not interior to the domain")
-    value = _from_parameter(omega._exit(x, y, d)) + _from_parameter(outer._exit(y, x, -d))
-    return 0.0 if value < tol.F_CLAMP else value
+    def kernel(omega, x, y):
+        d = y - x
+        if math.sqrt(d @ d) <= tol.EPS_PT:
+            return _funk(omega, x, y)
+        # The reverse ray's exit first, so that its origin y outside ``outer`` raises
+        # before a target on omega's boundary, as when y's margin was tested first.
+        value = _from_parameter(outer._exit(y, x, -d)) + _from_parameter(omega._exit(x, y, d))
+        return 0.0 if value < tol.F_CLAMP else value
+    return _query(kernel, omega, x, y, tested=True)
 
 
 def _rows(points, row_call, names, domain=None):

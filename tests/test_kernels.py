@@ -2,13 +2,17 @@
 
 Every domain kind has scalar kernels (``_margin``, ``_exit``, ``_line``)
 and row kernels (``_margins``, ``_exits``); ``_hit`` builds a boundary
-point from ``_exit`` for the callers that need one.  The public functions
-validate their inputs once and then call only kernels; these tests pin the
-agreement of the kernels, the number of casts per query, the error
-messages of the public functions, the row forms of ``triangle_report`` and
-of the closed forms against their single calls, and the samplers built on
-the row kernels: the random stream of ``sample_interior`` and the interior
-rows of ``interior_samples``.
+point from ``_exit`` for the callers that need one.  Every ray kernel tests
+its origins: it answers nan exactly where ``_margin`` of the origin is <= 0.
+The public functions convert their inputs once, leave the ray origins to
+the casts and test only the other points by ``_margin``; on a fault they
+validate as before, so of two faults the first argument's message is
+raised.  These tests pin the agreement of the kernels and of their origin
+tests with ``_margin``, the number of casts and interior tests per query,
+the error messages of the public functions, double faults included, the
+row forms of ``triangle_report`` and of the closed forms against their
+single calls, and the samplers built on the row kernels: the random stream
+of ``sample_interior`` and the interior rows of ``interior_samples``.
 """
 
 import gc
@@ -60,6 +64,8 @@ from funkgeo.geodesy import (
     polyline_face_witness,
     triangle_batch,
     unique_geodesic_pair,
+    verify_geodesic,
+    verify_hilbert_geodesic,
 )
 from funkgeo.projection import (
     foot_certificate,
@@ -253,23 +259,24 @@ def test_queries_validate_once_and_cast_once_per_exit(monkeypatch):
     calls = {name: _count_calls(monkeypatch, HPolytope, name)
              for name in ("_margin", "_exit", "_line", "_hit", "contains")}
     as_point = _count_as_point(monkeypatch)
-    # (query, _exit, _line, _hit, as_point): distances read exit parameters
-    # only, the two exits of one line come from one two-sided cast, and each
-    # point argument is validated once.
-    for query, exits, lines, hits, checks in (
-            (lambda: funk(SQUARE, x, y), 1, 0, 0, 2),
-            (lambda: reverse_funk(SQUARE, x, y), 1, 0, 0, 2),
-            (lambda: tangent_norm(SQUARE, x, y), 1, 0, 0, 2),
-            (lambda: relative_funk(SQUARE, OUTER, x, y), 2, 0, 0, 2),
-            (lambda: hilbert(SQUARE, x, y), 0, 1, 0, 2),
-            (lambda: max_symmetrized(SQUARE, x, y), 0, 1, 0, 2),
-            (lambda: triangle_report(SQUARE, x, y, z), 3, 0, 3, 3)):
+    # (query, _exit, _line, _hit, as_point, _margin): distances read exit
+    # parameters only, the two exits of one line come from one two-sided cast,
+    # each point argument is converted once, and only the points that are no
+    # ray origin are tested by _margin (y of funk, also in relative_funk's
+    # domain, and z of triangle_report); the casts test the origins.
+    for query, exits, lines, hits, checks, margins in (
+            (lambda: funk(SQUARE, x, y), 1, 0, 0, 2, 1),
+            (lambda: reverse_funk(SQUARE, x, y), 1, 0, 0, 2, 1),
+            (lambda: tangent_norm(SQUARE, x, y), 1, 0, 0, 2, 0),
+            (lambda: relative_funk(SQUARE, OUTER, x, y), 2, 0, 0, 2, 1),
+            (lambda: hilbert(SQUARE, x, y), 0, 1, 0, 2, 0),
+            (lambda: max_symmetrized(SQUARE, x, y), 0, 1, 0, 2, 0),
+            (lambda: triangle_report(SQUARE, x, y, z), 3, 0, 3, 3, 1)):
         for counted in (*calls.values(), as_point):
             counted.clear()
         query()
-        assert (len(calls["_exit"]), len(calls["_line"]), len(calls["_hit"]), len(as_point)) \
-            == (exits, lines, hits, checks)
-        assert len(calls["_margin"]) <= 3
+        assert (len(calls["_exit"]), len(calls["_line"]), len(calls["_hit"]), len(as_point),
+                len(calls["_margin"])) == (exits, lines, hits, checks, margins)
         assert not calls["contains"]
 
     # The library functions built on the queries validate each point argument
@@ -363,6 +370,87 @@ def test_line_parallel_to_a_half_plane_edge_escapes_on_both_sides():
     x, y = np.array([0.5, 0.5]), np.array([1.5, 2.0])
     t_fwd, t_back = wedge._line(x, y, y - x)
     assert t_fwd == math.inf and 1.0 < t_back < math.inf
+
+
+# --- the ray kernels test their origins as _margin does ---------------------------------
+
+def _origin(domain, how):
+    """A point by one of three draws: ("place", p) of ``_interior``; ("exit", angle,
+    toward) the exit point of a ray from the base point, each coordinate moved one
+    ulp toward ``toward`` (0 keeps it); ("point", p) any point, most exterior."""
+    if how[0] == "place":
+        return _interior(domain, how[1])
+    if how[0] == "point":
+        return how[1]
+    _, angle, toward = how
+    base = domain.base_point()
+    hit = domain.ray_boundary(base, base + np.array([math.cos(angle), math.sin(angle)]))
+    a = base + 4.0 * hit.direction if hit.at_infinity else hit.point
+    return np.nextafter(a, a + toward * np.array([1.0, -1.0])) if toward else a
+
+
+origins = st.one_of(polar_near_boundary.map(lambda p: ("place", p)),
+                    st.tuples(st.just("exit"), angles, st.sampled_from([-np.inf, 0.0, np.inf])),
+                    points.map(lambda p: ("point", 2.0 * p)))
+
+
+def _origin_tests_agree_with_margins(domain, x, y):
+    d = y - x
+    if math.sqrt(d @ d) <= 1e-13:  # the callers cast no ray between coincident points
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, (t_fwd, t_back), hit = domain._exit(x, y, d), domain._line(x, y, d), domain._hit(x, y, d)
+    x_out, y_out = domain._margin(x) <= 0.0, domain._margin(y) <= 0.0
+    assert (math.isnan(t), math.isnan(t_fwd), math.isnan(hit.t)) == (x_out, x_out, x_out)
+    assert math.isnan(t_back) == y_out
+    if not x_out:  # the convention changes no exit parameter of an interior origin
+        assert (float.hex(t), float.hex(hit.t)) == (float.hex(t_fwd),) * 2
+
+
+@pytest.mark.parametrize("kind", LINE_DOMAINS)
+@settings(max_examples=120, deadline=None)
+@given(origin=origins, target=origins)
+def test_ray_kernels_answer_nan_exactly_where_the_origin_margin_is_not_positive(
+        kind, origin, target):
+    domain = LINE_DOMAINS[kind]
+    _origin_tests_agree_with_margins(domain, _origin(domain, origin), _origin(domain, target))
+
+
+# A point of the square outside the disk, and one of the disk outside the square.
+IN_SQUARE_ONLY, IN_DISK_ONLY = np.array([-0.9, 0.9]), np.array([1.2, 0.1])
+# Under diag(0.25, 4) the preimage of (0, 2e-323) is 5e-324 inside the half-plane, and
+# the margin scaled by sigma_min = 0.25 would round to 0.
+UNDERFLOW_IMAGE = AffineImage(HPolytope([[0.0, -1.0]], [0.0], witness=[0.0, 1.0]),
+                              AffineMap(np.diag([0.25, 4.0]), [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("parts", [(0, 1), (1, 0)])
+def test_an_intersection_rejects_an_origin_any_of_its_parts_rejects(parts):
+    # Python's min of (t, nan) is t, so the nan of the second part must not be lost.
+    intersection = KINDS["intersection"]
+    domain = IntersectionDomain([intersection.parts[i] for i in parts], witness=[0.0, 0.0])
+    for x in (IN_SQUARE_ONLY, IN_DISK_ONLY):
+        assert domain._margin(x) < 0.0 < max(p._margin(x) for p in domain.parts)
+        _origin_tests_agree_with_margins(domain, x, np.array([0.0, 0.1]))
+        _origin_tests_agree_with_margins(domain, np.array([0.0, 0.1]), x)
+        with pytest.raises(GeometryError, match="^x is not interior to the domain$"):
+            hilbert(domain, x, [0.0, 0.1])
+
+
+def test_affine_margins_keep_their_sign_where_the_scaled_margin_underflows():
+    image, inner = UNDERFLOW_IMAGE, UNDERFLOW_IMAGE.inner
+    for p, sign in (([0.0, 2e-323], 1.0), ([0.0, -2e-323], -1.0)):
+        p = np.array(p)
+        assert inner._margin(image.map.invert(p)) == sign * 5e-324
+        assert image.contains(p) == image._margins(p[None])[0] == sign * 5e-324
+        _origin_tests_agree_with_margins(image, p, np.array([0.0, 1.0]))
+    p, q = np.array([0.0, 2e-323]), np.array([0.0, 1.0])
+    assert funk(image, p, q) == funk(inner, image.map.invert(p), image.map.invert(q)) == 0.0
+    # Seen from q, p is on the boundary at double precision, in both domains.
+    assert _answer(lambda: hilbert(image, p, q)) == \
+        _answer(lambda: hilbert(inner, image.map.invert(p), image.map.invert(q))) == \
+        "target point is numerically on the boundary"
 
 
 # --- the same messages as the per-pair code ------------------------------------------
@@ -587,6 +675,92 @@ def test_relative_funk_checks_the_reverse_origin_in_the_englobing_domain():
     with pytest.raises(GeometryError) as err:
         relative_funk(SQUARE, corner, [0.0, 0.0], [0.999999, 0.999999])
     assert str(err.value) == "ray origin is not interior to the domain"
+
+
+OUT2, ZERO = [-5.0, 5.0], [0.0, 0.0]
+
+
+def _straddling(domain):
+    """{"beyond": p, "short": q}: points 2e-14 beyond and short of the boundary on
+    one ray, closer than EPS_PT, so a query takes them for coincident points."""
+    base = domain.base_point()
+    u = np.array([0.6, 0.8])
+    t = domain.ray_boundary(base, base + u).t
+    points = {"beyond": base + (t + 2e-14) * u, "short": base + (t - 2e-14) * u}
+    assert domain.contains(points["beyond"]) < 0.0 < domain.contains(points["short"])
+    return points
+
+
+def _fill(arg, points):
+    # "beyond" and "short" name the straddling points, in arguments and in polylines.
+    if isinstance(arg, str):
+        return points[arg]
+    if isinstance(arg, list) and arg and not isinstance(arg[0], float):
+        return [_fill(a, points) for a in arg]
+    return arg
+
+
+DOUBLE_FAULTS = [  # (function, arguments after the domain, message), on every kind
+    *[(fn, args, "x is not interior to the domain") for fn in (funk, hilbert, max_symmetrized, _rel)
+      for args in ((OUT, NAN), (OUT, DIM3), (OUT, OUT2), (OUT, OUT), ("beyond", "short"))],
+    *[(fn, ("short", "beyond"), "y is not interior to the domain")
+      for fn in (funk, hilbert, max_symmetrized, _rel)],
+    *[(reverse_funk, args[::-1], "x is not interior to the domain")
+      for args in ((OUT, NAN), (OUT, DIM3), (OUT, OUT2), (OUT, OUT), ("beyond", "short"))],
+    *[(_ray, args, "ray origin is not interior to the domain")
+      for args in ((OUT, NAN), (OUT, DIM3), (OUT, OUT2), (OUT, OUT), ("beyond", "short"))],
+    (_ray, ("short", "beyond"), "ray origin and target coincide"),
+    *[(unique_geodesic_pair, args, "both points must be interior")
+      for args in ((OUT, NAN), (OUT, DIM3), (OUT, OUT), ("beyond", "short"), ("short", "beyond"))],
+    (triangle_report, (OUT, IN, IN), "x is not interior to the domain"),
+    (triangle_report, (IN2, OUT, NAN), "y is not interior to the domain"),
+    (triangle_report, (OUT, OUT2, OUT), "x is not interior to the domain"),
+    (triangle_report, (IN, IN, OUT), "z is not interior to the domain"),
+    (triangle_report, (IN, "beyond", "short"), "y is not interior to the domain"),
+    (triangle_report, (IN, "short", "beyond"), "z is not interior to the domain"),
+    (tangent_norm, (OUT, NAN), "base point must be interior to the domain"),
+    (tangent_norm, (OUT, ZERO), "base point must be interior to the domain"),
+    (tangent_norm, (OUT, DIM3), "base point must be interior to the domain"),
+    (tangent_norm, ("beyond", ZERO), "base point must be interior to the domain"),
+    *[(verify, (polyline,), message) for verify in (verify_geodesic, verify_hilbert_geodesic)
+      for polyline, message in (
+          ([OUT, NAN], "polyline[0] is not interior to the domain"),
+          ([IN, OUT, NAN], "polyline[1] is not interior to the domain"),
+          ([IN, OUT, OUT], "polyline[1] is not interior to the domain"),
+          ([IN, IN, OUT], "polyline[2] is not interior to the domain"),
+          ([IN, IN2, OUT], "polyline[2] is not interior to the domain"),
+          ([OUT], "polyline[0] is not interior to the domain"),
+          ([IN, "beyond", "short"], "polyline[1] is not interior to the domain"),
+          ([IN, "short", "beyond"], "polyline[2] is not interior to the domain"),
+          ([IN, NAN], "polyline[1] has a non-finite coordinate"),
+          ([IN], "a polyline needs at least two points"))],
+]
+
+
+def test_points_that_are_no_ray_origin_keep_their_margin_test():
+    # y is on the sphere (margin 0.0), yet the cast from x puts the sphere 4e-16
+    # beyond it, so only the _margin test of y refuses it.
+    ball = KINDS["ball"]
+    x, y = np.array([0.6867524551671897, 0.42699691031383846]), \
+        np.array([0.7071847164548372, 0.66339251116728])
+    assert ball._margin(y) == 0.0 and ball._exit(x, y, y - x) - 1.0 >= 1e-16
+    for call, message in ((lambda: funk(ball, x, y), "y is not interior to the domain"),
+                          (lambda: _rel(ball, x, y), "y is not interior to the domain"),
+                          (lambda: triangle_report(ball, x, IN, y), "z is not interior to the domain"),
+                          (lambda: unique_geodesic_pair(ball, x, y), "both points must be interior"),
+                          (lambda: verify_geodesic(ball, [IN, x, y]),
+                           "polyline[2] is not interior to the domain")):
+        assert _answer(call) == message
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("fn, args, message", DOUBLE_FAULTS)
+def test_two_faults_raise_the_message_of_the_first_argument_at_fault(kind, fn, args, message):
+    domain = KINDS[kind]
+    points = _straddling(domain)
+    with pytest.raises(GeometryError) as err:
+        fn(domain, *[_fill(a, points) for a in args])
+    assert str(err.value) == message
 
 
 # --- row forms of the triangle report and the closed forms ------------------------------
