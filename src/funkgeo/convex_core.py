@@ -503,16 +503,11 @@ class HPolytope(ConvexDomain):
         centroid = V.mean(axis=0)
         order = np.argsort(np.arctan2(V[:, 1] - centroid[1], V[:, 0] - centroid[0]))
         V = V[order]
-        rows, th = [], []
-        for i in range(V.shape[0]):
-            p, q = V[i], V[(i + 1) % V.shape[0]]
-            edge = q - p
-            normal = np.array([edge[1], -edge[0]])
-            if normal @ (centroid - p) > 0.0:
-                normal = -normal
-            rows.append(normal)
-            th.append(normal @ p)
-        return cls(np.array(rows), np.array(th), vertices=V, witness=centroid)
+        edges = np.roll(V, -1, axis=0) - V  # edge i runs from vertex i to vertex i + 1
+        normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+        inward = _rowdot(normals, centroid - V) > 0.0
+        normals[inward] = -normals[inward]
+        return cls(normals, _rowdot(normals, V), vertices=V, witness=centroid)
 
 
 class EuclideanBall(ConvexDomain):

@@ -27,7 +27,13 @@ def tangent_norm(domain: ConvexDomain, p, v) -> float:
 
 def _gauge(domain: ConvexDomain, p, v) -> float:
     """Tangent norm at a finite point p of a finite vector v; nan if p is not interior."""
-    if math.sqrt(v @ v) <= tol.EPS_PT:  # no cast tests p
+    length = math.hypot(*v)
+    if length * length == math.inf:  # the cast's v @ v would overflow (|v| beyond about
+        # 1e154); the gauge is homogeneous, so take it of v / 2^e, an exact scaling
+        e = math.frexp(float(np.abs(v).max()))[1]
+        if e:  # 0 for a non-finite v
+            return math.ldexp(_gauge(domain, p, np.ldexp(v, -e)), e)
+    if length <= tol.EPS_PT:  # no cast tests p
         return 0.0 if domain._margin(p) > 0.0 else math.nan
     y = p + v
     t = domain._exit(p, y, y - p)
@@ -42,20 +48,31 @@ def finite_difference_check(domain: ConvexDomain, p, x, y, t_list
     point must stay interior.  t below about 1e-5 is dominated by
     cancellation noise and is better avoided.
     """
-    p = _check_interior(domain, p, "base point", "base point must be interior to the domain")
-    x = as_point(x, domain.dim, "x")
-    y = as_point(y, domain.dim, "y")
-    limit = _gauge(domain, p, y - x)
+    # The casts test the ray origins p and p + t x; on a fault, p's test comes first.
+    p = as_point(p, domain.dim, "base point")
+    try:
+        x, y = as_point(x, domain.dim, "x"), as_point(y, domain.dim, "y")
+        limit = _gauge(domain, p, y - x)
+    except GeometryError:
+        limit = math.nan
+    if limit != limit:
+        _check_interior(domain, p, "base point", "base point must be interior to the domain")
+        x, y = as_point(x, domain.dim, "x"), as_point(y, domain.dim, "y")
     rows = []
     for t in t_list:
         t = float(t)
         if t <= 0.0:
             raise GeometryError("difference-quotient steps must be positive")
         a, b = p + t * x, p + t * y
-        if domain._margin(a) <= 0.0 or domain._margin(b) <= 0.0:
-            raise GeometryError(f"sample escapes the domain at t={t:g}")
-        quotient = _funk(domain, a, b) / t
-        rows.append((t, quotient, abs(quotient - limit)))
+        try:
+            if domain._margin(b) > 0.0:
+                quotient = _funk(domain, a, b) / t
+                rows.append((t, quotient, abs(quotient - limit)))
+                continue
+        except GeometryError:
+            if domain._margin(a) > 0.0:  # a is interior: the cast's own error
+                raise
+        raise GeometryError(f"sample escapes the domain at t={t:g}")
     return rows
 
 

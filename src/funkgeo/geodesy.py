@@ -140,8 +140,12 @@ def cone_member(polytope: HPolytope, cone: FaceCone, v) -> bool:
     v = as_point(v, polytope.dim, "direction")
     if np.linalg.norm(v) <= tol.EPS_PT:
         return True
-    base = _check_interior(polytope, cone.base, "cone base", "cone base must be interior")
-    hit = polytope._cast(base, base + v)
+    base = as_point(cone.base, polytope.dim, "cone base")
+    try:
+        hit = polytope._cast(base, base + v)  # tests the base, the ray origin
+    except GeometryError:
+        _check_interior(polytope, base, "cone base", "cone base must be interior")
+        raise
     if hit.at_infinity:
         d = hit.direction / np.linalg.norm(hit.direction)
         idx = sorted(cone.face)
@@ -196,18 +200,29 @@ def polyline_face_witness(polytope: HPolytope, polyline,
     needs).  Rays that never exit yield an empty witness.
     """
     polyline = list(polyline)
+    try:  # the casts test the ray origins, as in _query, up to a chord that never exits
+        witness = _face_witness(polytope, [as_point(p, polytope.dim, f"polyline[{i}]")
+                                           for i, p in enumerate(polyline)], reverse)
+        if witness is not None:
+            return witness
+    except GeometryError:
+        pass
     end = 0 if reverse else len(polyline) - 1  # the one point no chord leaves from
     origin = "ray origin is not interior to the domain"
-    pts = [as_point(p, polytope.dim, f"polyline[{i}]") if i == end
-           else _check_interior(polytope, p, f"polyline[{i}]", origin)
-           for i, p in enumerate(polyline)]
+    return _face_witness(polytope, [as_point(p, polytope.dim, f"polyline[{i}]") if i == end
+                                    else _check_interior(polytope, p, f"polyline[{i}]", origin)
+                                    for i, p in enumerate(polyline)], reverse) or frozenset()
+
+
+def _face_witness(polytope: HPolytope, pts, reverse: bool) -> frozenset[int] | None:
+    """The witness of converted points, or None at the first chord that never exits."""
     if len(pts) < 2:
         raise GeometryError("a polyline needs at least two points")
     faces = []
     for p, q in zip(pts[1:], pts) if reverse else zip(pts, pts[1:]):
         hit = polytope._cast(p, q)
         if hit.at_infinity:
-            return frozenset()
+            return None
         faces.append(frozenset(polytope._face_rows(hit.point)[1]))
     return frozenset.intersection(*faces)
 

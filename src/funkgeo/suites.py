@@ -29,11 +29,11 @@ from .convex_core import (
     AffineImage,
     AffineMap,
     EuclideanBall,
-    GeometryError,
     HPolytope,
     IntersectionDomain,
     LinearForm,
     _row_lengths,
+    _rowdot,
     supporting_functional,
 )
 from .finsler_tangent import (
@@ -155,31 +155,35 @@ def _accepted(n: int, draw, accept) -> tuple[np.ndarray, int]:
     return np.concatenate(blocks)[:n], rejected
 
 
-def random_affine_map(rng: np.random.Generator, dim: int) -> AffineMap:
-    while True:
-        M = rng.standard_normal((dim, dim))
+def random_affine_maps(rng: np.random.Generator, dim: int, n: int) -> list[AffineMap]:
+    """n random affine maps, their matrices drawn in blocks: a matrix whose smallest
+    singular value is below 0.05 or 1e-3 times its largest is drawn again.  The
+    translations follow the matrices, so one map takes the numbers of a single draw."""
+    def well_conditioned(M):
         svals = np.linalg.svd(M, compute_uv=False)
-        if svals[-1] > 1e-3 * svals[0] and svals[-1] > 0.05:
-            return AffineMap(M, rng.uniform(-0.5, 0.5, dim))
+        return (svals[:, -1] > 1e-3 * svals[:, 0]) & (svals[:, -1] > 0.05)
+    M = _accepted(n, lambda k: rng.standard_normal((k, dim, dim)), well_conditioned)[0]
+    return [AffineMap(m, t) for m, t in zip(M, rng.uniform(-0.5, 0.5, (n, dim)))]
 
 
-def random_projective_map(rng: np.random.Generator,
-                          corners: np.ndarray) -> np.ndarray:
-    """3x3 projective matrix keeping the given 2-d points well inside the chart."""
-    while True:
-        P = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-        hom = np.column_stack([corners, np.ones(len(corners))]) @ P.T
-        if np.min(hom[:, 2]) < 0.3:
-            continue
-        if abs(np.linalg.det(P)) < 1e-3:
-            continue
-        return P
+def random_projective_maps(rng: np.random.Generator, corners: np.ndarray,
+                           n: int) -> np.ndarray:
+    """n 3x3 projective matrices (n, 3, 3) keeping the given 2-d points well inside
+    the chart (last coordinate at least 0.3), drawn in blocks; |det| >= 1e-3."""
+    hom = np.column_stack([corners, np.ones(len(corners))])
+
+    def in_chart(P):
+        chart = np.matmul(hom, np.swapaxes(P, 1, 2))[..., 2]
+        return (chart.min(axis=1) >= 0.3) & (np.abs(np.linalg.det(P)) >= 1e-3)
+    return _accepted(n, lambda k: np.eye(3) + 0.2 * rng.standard_normal((k, 3, 3)), in_chart)[0]
 
 
 def apply_projective(P: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Chart images of points (k, 2) under P (3, 3), or of stacks (..., k, 2) under
+    stacked matrices (..., 3, 3)."""
     pts = np.atleast_2d(pts)
-    hom = np.column_stack([pts, np.ones(len(pts))]) @ P.T
-    return hom[:, :2] / hom[:, 2:]
+    hom = np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1) @ np.swapaxes(P, -1, -2)
+    return hom[..., :2] / hom[..., 2:]
 
 
 def _intersect_lines(p0, d0, p1, d1):
@@ -199,6 +203,18 @@ def _well_formed(S: np.ndarray) -> np.ndarray:
     return np.isfinite(S).all(axis=(1, 2)) & (np.abs(U[:, 0] * V[:, 1] - U[:, 1] * V[:, 0]) >= 0.2)
 
 
+def _ray_hits(domain, X: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray:
+    """Boundary hits of the rays from the rows of X through X + step * (standard normal
+    rows), in row order, for the targets that are interior (margin above 1e-6) and apart
+    from their origins; the normal rows are the numbers of one draw per origin."""
+    Y = X + step * rng.standard_normal(X.shape)
+    keep = (domain._margins(Y) > 1e-6) & (_row_lengths(Y - X) >= 1e-6)
+    X, Y = X[keep], Y[keep]
+    t = domain._exits(X, Y)
+    finite = np.isfinite(t)
+    return X[finite] + t[finite, None] * (Y - X)[finite]
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -212,21 +228,16 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
     rng = yield
     square = unit_square()
     ball = unit_ball()
-    rotated = AffineImage(square, random_affine_map(rng, 2))
+    rotated = AffineImage(square, random_affine_maps(rng, 2, 1)[0])
     inter = IntersectionDomain([square, EuclideanBall([0.3, 0.0], 1.1)],
                                witness=[0.0, 0.0])
     domains = [square, ball, rotated, inter]
 
     worst = 0.0
     for domain in domains:
-        pts = sample_interior(domain, rng, n_rays // len(domains), bound=2.0)
-        for x in pts:
-            y = x + 0.3 * rng.standard_normal(domain.dim)
-            if domain.contains(y) <= 1e-6 or np.linalg.norm(y - x) < 1e-6:
-                continue
-            hit = domain.ray_boundary(x, y)
-            if not hit.at_infinity:
-                worst = max(worst, abs(domain.contains(hit.point)))
+        H = _ray_hits(domain, sample_interior(domain, rng, n_rays // len(domains), bound=2.0),
+                      0.3, rng)
+        worst = max(worst, float(np.max(np.abs(domain._margins(H)), initial=0.0)))
     gate = tol.EPS_BD
     rng = yield CheckResult("ray_cast_boundary_consistency", worst <= gate,
                             {"max_abs_margin": worst, "tolerance": gate})
@@ -256,7 +267,7 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
 
     worst = 0.0
     for _ in range(n_equivariance):
-        amap = random_affine_map(rng, 2)
+        amap = random_affine_maps(rng, 2, 1)[0]
         image = AffineImage(square, amap)
         x = sample_interior(square, rng, 1, bound=1.0)[0]
         y = sample_interior(square, rng, 1, bound=1.0)[0]
@@ -275,15 +286,7 @@ def suite_convex_core(cfg: RunConfig) -> Checks:
 
     worst = -np.inf
     for domain in domains:
-        boundary = []
-        pts = sample_interior(domain, rng, 50, bound=2.0)
-        for x in pts:
-            y = x + rng.standard_normal(domain.dim)
-            if domain.contains(y) <= 1e-6 or np.linalg.norm(y - x) < 1e-6:
-                continue
-            hit = domain.ray_boundary(x, y)
-            if not hit.at_infinity:
-                boundary.append(hit.point)
+        boundary = _ray_hits(domain, sample_interior(domain, rng, 50, bound=2.0), 1.0, rng)
         samples = sample_interior(domain, rng, max(1, n_support // len(domains)), bound=2.0)
         for a in boundary[:20]:
             h = supporting_functional(domain, a)
@@ -449,33 +452,32 @@ def suite_invariance(cfg: RunConfig) -> Checks:
     square = unit_square()
     gate = 1e-9
 
-    worst = 0.0
-    for _ in range(maps):
-        amap = random_affine_map(rng, 2)
-        image = AffineImage(square, amap)
-        X = sample_interior(square, rng, pairs_per_map, bound=1.0)
-        Y = sample_interior(square, rng, pairs_per_map, bound=1.0)
-        gap = np.abs(funk_batch(image, amap(X), amap(Y)) - funk_batch(square, X, Y))
-        worst = max(worst, float(np.max(gap)))
+    # One block of maps and of point pairs; per map, its image and one funk_batch call.
+    amaps = random_affine_maps(rng, 2, maps)
+    X = sample_interior(square, rng, maps * pairs_per_map, bound=1.0)
+    Y = sample_interior(square, rng, maps * pairs_per_map, bound=1.0)
+    F = np.array([funk_batch(AffineImage(square, amap), amap(x), amap(y)) for amap, x, y
+                  in zip(amaps, *(P.reshape(maps, pairs_per_map, 2) for P in (X, Y)))])
+    worst = float(np.max(np.abs(F.ravel() - funk_batch(square, X, Y)), initial=0.0))
     rng = yield CheckResult("funk_affine_invariance", worst <= gate,
                             {"max_gap": worst, "maps": maps, "tolerance": gate})
 
     gate_h = 1e-9
-    corners = square.vertices
-    worst = 0.0
-    for _ in range(proj_maps):
-        P = random_projective_map(rng, corners)
-        try:
-            image = HPolytope.from_polygon_vertices(apply_projective(P, corners))
-        except GeometryError:
-            continue
-        X = sample_interior(square, rng, 4, bound=1.0, min_margin=1e-3)
-        Y = sample_interior(square, rng, 4, bound=1.0, min_margin=1e-3)
-        # Row Hilbert distances, 0.5 * (F(X, Y) + F(Y, X)), in both charts.
-        XY, YX = np.vstack([X, Y]), np.vstack([Y, X])
-        F = funk_batch(image, apply_projective(P, XY), apply_projective(P, YX))
-        G = funk_batch(square, XY, YX)
-        worst = max(worst, float(np.max(np.abs(0.5 * (F[:4] + F[4:]) - 0.5 * (G[:4] + G[4:])))))
+    P = random_projective_maps(rng, square.vertices, proj_maps)
+    X, Y = (sample_interior(square, rng, 4 * proj_maps, bound=1.0, min_margin=1e-3)
+            .reshape(proj_maps, 4, 2) for _ in range(2))
+    XY, YX = np.concatenate([X, Y], axis=1), np.concatenate([Y, X], axis=1)
+    # Rows {u : [a, -b] P^-1 (u, 1) < 0} of the image of {x : a x < b}: (x, 1) is a
+    # positive multiple of P^-1 (u, 1), as the chart coordinate stays >= 0.3 on the square.
+    rows = np.column_stack([square.A, -square.b]) @ np.linalg.inv(P)
+    centres = apply_projective(P, np.zeros((1, 2)))[:, 0]
+    F = np.array([funk_batch(HPolytope(r[:, :2], -r[:, 2], witness=c), u, v) for r, c, u, v
+                  in zip(rows, centres, apply_projective(P, XY), apply_projective(P, YX))])
+    G = funk_batch(square, XY.reshape(-1, 2), YX.reshape(-1, 2))
+    # Row Hilbert distances, 0.5 * (F(X, Y) + F(Y, X)), in both charts.
+    F, G = F.reshape(proj_maps, 8), G.reshape(proj_maps, 8)
+    gap = np.abs(0.5 * (F[:, :4] + F[:, 4:]) - 0.5 * (G[:, :4] + G[:, 4:]))
+    worst = float(np.max(gap, initial=0.0))
     rng = yield CheckResult("hilbert_projective_invariance", worst <= gate_h,
                             {"max_gap": worst, "maps": proj_maps,
                              "tolerance": gate_h})
@@ -493,10 +495,10 @@ def suite_invariance(cfg: RunConfig) -> Checks:
     polys = [unit_square(), random_polygon(rng)]
     worst = -np.inf
     for poly in polys:
-        diam = float(np.max([np.linalg.norm(u - v) for u in poly.vertices
-                             for v in poly.vertices]))
+        D = (poly.vertices[:, None] - poly.vertices).reshape(-1, 2)
+        diam = float(np.max(np.sqrt(_rowdot(D, D))))
         X = sample_interior(poly, rng, 100, bound=1.5)
-        bounds = np.log(diam / np.array([sandwich(poly, x).lambda_x for x in X]))
+        bounds = np.log(diam / poly._margins(X))  # lambda_x of sandwich, row by row
         Y = sample_interior(poly, rng, 40 * len(X), bound=1.5)
         rf = funk_batch(poly, Y, np.repeat(X, 40, axis=0)).reshape(len(X), 40)
         worst = max(worst, float(np.max(rf.max(axis=1) - bounds)))
@@ -609,7 +611,7 @@ def suite_balls(cfg: RunConfig) -> Checks:
 
     worst = 0.0
     domains = [square, ball, random_polygon(rng),
-               AffineImage(square, random_affine_map(rng, 2))]
+               AffineImage(square, random_affine_maps(rng, 2, 1)[0])]
     for domain in domains:
         x = sample_interior(domain, rng, 1, bound=2.0, min_margin=1e-2)[0]
         rho = rng.uniform(0.2, 2.0)
@@ -1125,7 +1127,7 @@ def suite_appendix(cfg: RunConfig) -> Checks:
     for _ in range(cross_ratio_maps):
         pts = np.array([[-1.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         pts = pts + rng.uniform(-0.2, 0.2) * np.array([[1.0, 0.5]] * 4)
-        P = random_projective_map(rng, pts)
+        P = random_projective_maps(rng, pts, 1)[0]
         rows.append(pts)
         images.append(apply_projective(P, pts))
     rows, images = np.array(rows).swapaxes(0, 1), np.array(images).swapaxes(0, 1)

@@ -13,7 +13,7 @@ from funkgeo import (
     hilbert,
     menelaus_product,
 )
-from funkgeo.suites import apply_projective, random_projective_map
+from funkgeo.suites import apply_projective, random_projective_maps
 
 
 # --- division ratio -----------------------------------------------------------
@@ -148,7 +148,7 @@ def test_cross_ratio_projective_invariance(rng):
     pts = np.array([[-1.0, 0.2], [0.0, 0.2], [0.5, 0.2], [1.0, 0.2]])
     base = cross_ratio(*pts)
     for _ in range(50):
-        P = random_projective_map(rng, pts)
+        P = random_projective_maps(rng, pts, 1)[0]
         img = apply_projective(P, pts)
         assert cross_ratio(*img) == pytest.approx(base, abs=1e-9)
 

@@ -413,6 +413,47 @@ def test_polygon_from_vertices_round_trip():
     assert diamond.contains([0.8, 0.8]) < 0.0
 
 
+def _polygon_rows_by_loop(vertices):
+    # from_polygon_vertices as an edge loop, the form its array operations replaced
+    V = np.asarray(vertices, dtype=float)
+    centroid = V.mean(axis=0)
+    V = V[np.argsort(np.arctan2(V[:, 1] - centroid[1], V[:, 0] - centroid[0]))]
+    rows, th = [], []
+    for i in range(V.shape[0]):
+        p, q = V[i], V[(i + 1) % V.shape[0]]
+        edge = q - p
+        normal = np.array([edge[1], -edge[0]])
+        if normal @ (centroid - p) > 0.0:
+            normal = -normal
+        rows.append(normal)
+        th.append(normal @ p)
+    return np.array(rows), np.array(th), V, centroid
+
+
+def test_polygon_rows_keep_the_bits_of_an_edge_loop():
+    # 300 polygons of 3-12 vertices on ellipses, in random order; a nearly flat map
+    # makes both forms refuse the polygon alike.
+    rng = np.random.default_rng(30)
+    compared = 0
+    for _ in range(300):
+        k = int(rng.integers(3, 13))
+        angles = (np.arange(k) + rng.uniform(0.0, 0.8, k)) * (2.0 * np.pi / k)
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        V = rng.permutation(circle @ rng.uniform(-3.0, 3.0, (2, 2)) + rng.uniform(-5.0, 5.0, 2))
+        rows, th, W, centroid = _polygon_rows_by_loop(V)
+        try:
+            looped = HPolytope(rows, th, vertices=W, witness=centroid)
+        except DomainSpecError:
+            with pytest.raises(DomainSpecError):
+                HPolytope.from_polygon_vertices(V)
+            continue
+        polygon = HPolytope.from_polygon_vertices(V)
+        assert polygon.A.tobytes() == looped.A.tobytes()
+        assert polygon.b.tobytes() == looped.b.tobytes()
+        compared += 1
+    assert compared >= 250
+
+
 def test_intersection_needs_witness_when_bases_fall_outside(square):
     far = HPolytope.box([0.8, -1.0], [3.0, 1.0])
     # mean of base points is interior here, so this succeeds

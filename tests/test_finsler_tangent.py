@@ -42,6 +42,18 @@ def test_gauge_requires_interior_base(square):
         tangent_norm(square, [2.0, 0.0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("domain", [EuclideanBall([0.25, -0.5], 1.25),
+                                    HPolytope.box([-1.0, -1.0], [1.0, 1.0])],
+                         ids=["ball", "square"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_gauge_of_a_vector_whose_square_overflows_scales_with_it(domain, sign):
+    # (1e200)^2 overflows; the gauge is homogeneous, so it is 1e200 times that of (±1, 0).
+    p = [0.1, 0.0]
+    unit = tangent_norm(domain, p, [sign, 0.0])
+    huge = tangent_norm(domain, p, [sign * 1e200, 0.0])
+    assert abs(huge - 1e200 * unit) <= 4.0 * math.ulp(huge)
+
+
 def test_gauge_unit_level_set_is_translated_domain(square, rng):
     for _ in range(300):
         p = rng.uniform(-0.8, 0.8, 2)

@@ -321,6 +321,23 @@ def test_queries_validate_once_and_cast_once_per_exit(monkeypatch):
         assert all(domain is T_IN for counted in public["contains"] for domain in counted)
 
 
+def test_library_casts_test_their_own_ray_origins(monkeypatch):
+    # cone_member's base, the chord origins of polyline_face_witness (the last point is
+    # no origin) and finite_difference_check's base point and samples p + t x are ray
+    # origins, tested by their casts; only the samples p + t y are tested by _margin.
+    x, y = [0.1, 0.0], [0.2, 0.3]
+    margins = _count_calls(monkeypatch, HPolytope, "_margin")
+    for query, count in (
+            (lambda: cone_member(SQUARE, FaceCone(base=x, face={0}), [1.0, 0.2]), 0),
+            (lambda: polyline_face_witness(SQUARE, [x, y, [0.3, 0.5]]), 0),
+            (lambda: polyline_face_witness(SQUARE, [x, y, [0.3, 0.5]], reverse=True), 0),
+            (lambda: finite_difference_check(SQUARE, x, [0.0, 0.0], y, 10.0 ** -np.arange(1, 6)),
+             5)):
+        margins.clear()
+        query()
+        assert len(margins) == count
+
+
 # --- a two-sided cast gives the bits of two one-sided ones ------------------------
 
 LINE_DOMAINS = {

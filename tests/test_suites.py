@@ -1,11 +1,14 @@
 """The check suites not already exercised by the acceptance module."""
 
+import itertools
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from funkgeo import suites
+from funkgeo.convex_core import EuclideanBall, HPolytope, LinearForm
 from funkgeo.suites import SUITES, RunConfig, count_keys, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,6 +120,54 @@ def test_checks_fail_on_a_faulty_metric(monkeypatch, suite, name, check, fault):
     monkeypatch.setattr(suites, name, fault(getattr(suites, name)))
     report = run_suite(suite, RunConfig(seed=0, counts={**REDUCED, **SIXTEENTH}))
     assert check in [c["name"] for c in report["checks"] if not c["passed"]]
+
+
+def _skew(monkeypatch, owner, name, factor, where=lambda *args: True):
+    """Multiply what ``owner.name`` returns by ``factor`` on the calls ``where`` selects."""
+    original = getattr(owner, name)
+
+    def skewed(*args):
+        value = original(*args)
+        return value * factor if where(*args) else value
+
+    monkeypatch.setattr(owner, name, skewed)
+
+
+def _skew_form(monkeypatch, factor):
+    original = suites.supporting_functional
+
+    def skewed(domain, a):
+        h = original(domain, a)
+        return LinearForm(factor * h.coeffs, factor * h.offset)
+
+    monkeypatch.setattr(suites, "supporting_functional", skewed)
+
+
+@pytest.mark.parametrize("suite, check, fault", [
+    # the image domains of the two map checks are the ones without vertex data
+    ("invariance", "funk_affine_invariance", lambda mp: _skew(
+        mp, suites, "funk_batch", 1.0 + 1e-6, lambda domain, X, Y: domain.vertices is None)),
+    ("invariance", "hilbert_projective_invariance", lambda mp: _skew(
+        mp, suites, "funk_batch", 1.0 + 1e-6, lambda domain, X, Y: domain.vertices is None)),
+    ("convex-core", "ray_cast_boundary_consistency", lambda mp: [
+        _skew(mp, kind, "_exits", 1.0 + 1e-6) for kind in (HPolytope, EuclideanBall)]),
+    # These two bound a sampled maximum, which stays 2e-4 and 4e-2 below their gates,
+    # so they see a skew from 1e-3 and 1e-1 on, not at 1e-6.
+    ("convex-core", "supporting_functional_below_one", lambda mp: _skew_form(mp, 1.0 + 1e-3)),
+    ("invariance", "reverse_funk_diameter_bound", lambda mp: _skew(
+        mp, suites, "funk_batch", 1.0 + 1e-1)),
+], ids=["affine-image", "projective-image", "ray-hits", "supporting-forms", "reverse-funk"])
+def test_block_drawn_checks_fail_on_a_skewed_image_or_hit(monkeypatch, suite, check, fault):
+    # Runs the suite up to the check: a skewed cast makes later checks raise.
+    fault(monkeypatch)
+    generator, salt = suites.SALTED[suite]
+    checks = generator(RunConfig(seed=0, counts=suite_counts(ROOT / "src", SMOKE_SUITE_SCALE)))
+    next(checks)
+    for k in itertools.count():
+        result = checks.send(np.random.default_rng([0, salt, k]))
+        if result.name == check:
+            break
+    assert not result.passed
 
 
 def test_unknown_suite_rejected():
